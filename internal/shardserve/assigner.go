@@ -270,14 +270,16 @@ func (a *AssignerOf[T]) fanout(model string, rows *matrix.Mat[T], tr *telemetry.
 }
 
 // answerShard answers shard group s by walking its replica list:
-// machines with the kill switch down are skipped, an erroring replica
-// fails over to the next, and every pass past the preferred replica
+// machines with the kill switch down are skipped (and tried once more
+// at the end if they came back), an erroring replica fails over to the
+// next, and every pass past the preferred replica
 // counts as a failover. All replicas hold identical centroid rows at
 // identical versions, so whichever answers first is THE answer. Only a
 // group with no answering replica errors, carrying its centroid range.
 func (a *AssignerOf[T]) answerShard(model string, s int, plan Plan, rows *matrix.Mat[T], tr *telemetry.Trace) ([]serve.Assignment, error) {
 	key := ShardKey(model, s)
 	var lastErr error
+	var skipped []int
 	for i, m := range plan.Replicas[s] {
 		if i > 0 {
 			a.failovers.Inc()
@@ -287,26 +289,28 @@ func (a *AssignerOf[T]) answerShard(model string, s int, plan Plan, rows *matrix
 		}
 		if a.sr.MachineDown(m) {
 			lastErr = fmt.Errorf("machine %d down", m)
+			skipped = append(skipped, m)
 			continue
 		}
-		var as []serve.Assignment
-		var err error
-		switch {
-		case a.sr.remote != nil && !a.sr.remote.LocalMachine(m):
-			// Cluster mode: machine m is a peer process — the query
-			// rows' exact bits ride over the transport and the peer's
-			// batcher answers from its pushed shard snapshot. An RPC
-			// error (dead peer, timeout) fails over like any replica
-			// error. A sampled trace rides along and comes back with the
-			// worker's decode/GEMM/encode spans stitched in.
-			as, err = remoteAssignBatch(a.sr.remote, m, key, rows, tr)
-		case s == 0:
-			// A sampled trace rides through group 0's batcher so the
-			// dump shows the enqueue/coalesce/GEMM stages in-shard.
-			as, err = a.bats[m].AssignBatchTraced(key, rows, tr)
-		default:
-			as, err = a.bats[m].AssignBatch(key, rows)
+		as, err := a.askReplica(m, s, key, rows, tr)
+		if err == nil {
+			return as, nil
 		}
+		lastErr = err
+	}
+	// The kill-switch checks above are not one snapshot: a replica
+	// skipped as down may have come back while the walk went on, so a
+	// group whose replicas were never all down at once could still look
+	// unavailable. Give each such replica one more try. The walk above
+	// already counted every pass past the preferred replica, so a retry
+	// is journaled but not counted as another failover.
+	for _, m := range skipped {
+		if a.sr.MachineDown(m) {
+			continue
+		}
+		telemetry.Log("shardserve", telemetry.SevWarn, "retry revived replica",
+			telemetry.F("model", model), telemetry.F("shard", s), telemetry.F("machine", m))
+		as, err := a.askReplica(m, s, key, rows, tr)
 		if err == nil {
 			return as, nil
 		}
@@ -317,6 +321,26 @@ func (a *AssignerOf[T]) answerShard(model string, s int, plan Plan, rows *matrix
 		telemetry.F("model", model), telemetry.F("shard", s), telemetry.F("last_err", lastErr))
 	return nil, fmt.Errorf("%w: model %q shard %d (centroid rows [%d,%d)): %v",
 		ErrShardUnavailable, model, s, plan.Offsets[s], plan.Offsets[s+1], lastErr)
+}
+
+// askReplica answers shard group s's rows on machine m.
+func (a *AssignerOf[T]) askReplica(m, s int, key string, rows *matrix.Mat[T], tr *telemetry.Trace) ([]serve.Assignment, error) {
+	switch {
+	case a.sr.remote != nil && !a.sr.remote.LocalMachine(m):
+		// Cluster mode: machine m is a peer process — the query rows'
+		// exact bits ride over the transport and the peer's batcher
+		// answers from its pushed shard snapshot. An RPC error (dead
+		// peer, timeout) fails over like any replica error. A sampled
+		// trace rides along and comes back with the worker's
+		// decode/GEMM/encode spans stitched in.
+		return remoteAssignBatch(a.sr.remote, m, key, rows, tr)
+	case s == 0:
+		// A sampled trace rides through group 0's batcher so the dump
+		// shows the enqueue/coalesce/GEMM stages in-shard.
+		return a.bats[m].AssignBatchTraced(key, rows, tr)
+	default:
+		return a.bats[m].AssignBatch(key, rows)
+	}
 }
 
 // Failovers reports how many times a fan-out passed over a shard

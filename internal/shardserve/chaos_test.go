@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"knor/internal/kmeans"
 	"knor/internal/matrix"
 	"knor/internal/serve"
+	"knor/internal/telemetry"
 )
 
 // chaosSeed replays a failing chaos run exactly:
@@ -273,6 +275,66 @@ func TestChaosPublishRaceFailover(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// journalHook is an io.Writer that hands every line the journal
+// mirrors to fn.
+type journalHook func(line string)
+
+func (h journalHook) Write(p []byte) (int, error) {
+	h(string(p))
+	return len(p), nil
+}
+
+// TestFailoverRetriesRevivedReplica replays the interleaving behind
+// TestChaosPublishRaceFailover's flakes deterministically: the walk
+// skips group 0's preferred replica as down, and before it checks the
+// backup, the preferred replica comes back and the backup dies. The
+// group never lost both replicas at once, so it must still answer. The
+// walk journals its failover to the backup just before reading the
+// backup's kill switch, and the journal mirror runs on the walking
+// goroutine, so a mirror hook flips both switches exactly in that gap.
+func TestFailoverRetriesRevivedReplica(t *testing.T) {
+	sr := NewShardRegistryWith(Options{Machines: 2, Replicas: 2})
+	if _, err := sr.Publish("m", seqCentroids(6, 4, 0)); err != nil {
+		t.Fatal(err)
+	}
+	a := NewAssignerOf[float64](sr, serve.BatcherOptions{})
+	defer a.Close()
+	queries := matrix.NewDense(8, 4)
+	for i := range queries.Data {
+		queries.Data[i] = float64(i % 5)
+	}
+	want, err := a.AssignBatch("m", queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, _ := sr.GetPlan("m")
+	if len(plan.Replicas[0]) != 2 {
+		t.Fatalf("group 0 replicas %v, want 2", plan.Replicas[0])
+	}
+	pref, backup := plan.Replicas[0][0], plan.Replicas[0][1]
+
+	var fired atomic.Bool
+	target := fmt.Sprintf("shard=0 to_machine=%d", backup)
+	telemetry.DefaultJournal.SetMirror(journalHook(func(line string) {
+		if strings.Contains(line, ": failover ") && strings.Contains(line, target) && fired.CompareAndSwap(false, true) {
+			sr.Revive(pref)
+			sr.Kill(backup)
+		}
+	}))
+	defer telemetry.DefaultJournal.SetMirror(nil)
+	sr.Kill(pref)
+	got, err := a.AssignBatch("m", queries)
+	if !fired.Load() {
+		t.Fatal("the walk never failed over to group 0's backup")
+	}
+	if err != nil {
+		t.Fatalf("group 0 always had a live replica, yet: %v", err)
+	}
+	if n := diffAssign(got, want); n != 0 {
+		t.Fatalf("%d rows differ from the all-up answer", n)
+	}
 }
 
 // TestChaosDeterministicReplay runs the same seed twice and requires
