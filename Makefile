@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-precision bench-kernels test-noasm figs docs serve-loadtest io-smoke shardserve-smoke metrics-smoke chaos-smoke cluster-smoke clean
+.PHONY: all build vet test race bench bench-precision bench-kernels test-noasm figs docs serve-loadtest io-smoke shardserve-smoke metrics-smoke chaos-smoke cluster-smoke bench-harness clean
 
 all: vet build test
 
@@ -164,6 +164,12 @@ metrics-smoke:
 # and /debug/events journals the peer joins.
 cluster-smoke:
 	@sh scripts/cluster_smoke.sh
+
+# The benchmark harness is a separate Go module (bench/go.mod), so the
+# root `go test ./...` does not reach it: its unit tests plus
+# TestBenchQuick, a toy end-to-end pass that builds knorserve (~10 s).
+bench-harness:
+	cd bench && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

@@ -125,7 +125,7 @@ func assignSweep(e env) {
 	if _, err := reg.Publish("m", cents); err != nil {
 		panic(err)
 	}
-	opts := serve.BatcherOptions{MaxBatch: 4096, MaxWait: 1, Threads: runtime.GOMAXPROCS(0)}
+	opts := serve.BatcherOptions{MaxBatch: 4096, Threads: runtime.GOMAXPROCS(0)}
 
 	b64 := serve.NewBatcher(reg, opts)
 	t64 := timeReps(reps, func() {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"knor/internal/matrix"
 	"knor/internal/serve"
@@ -151,7 +150,7 @@ func shardParityCheck() {
 }
 
 func newParityAssigner(reg *serve.Registry, elem int) serve.Assigner {
-	opts := serve.BatcherOptions{MaxWait: time.Microsecond}
+	opts := serve.BatcherOptions{}
 	if elem == 32 {
 		return serve.NewBatcherOf[float32](reg, opts)
 	}
@@ -159,7 +158,7 @@ func newParityAssigner(reg *serve.Registry, elem int) serve.Assigner {
 }
 
 func newParityShardAssigner(sr *shardserve.ShardRegistry, elem int) serve.Assigner {
-	opts := serve.BatcherOptions{MaxWait: time.Microsecond}
+	opts := serve.BatcherOptions{}
 	if elem == 32 {
 		return shardserve.NewAssignerOf[float32](sr, opts)
 	}

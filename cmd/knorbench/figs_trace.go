@@ -50,7 +50,7 @@ func traceExp(e env) {
 			tracer = telemetry.NewTracer(traceEvery, 16)
 		}
 		bat := serve.NewBatcherOf[float64](reg, serve.BatcherOptions{
-			MaxBatch: batch, MaxWait: time.Microsecond, Tracer: tracer,
+			MaxBatch: batch, Tracer: tracer,
 		})
 		defer bat.Close()
 		stopScrape := make(chan struct{})

@@ -118,7 +118,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		maxBatch     = flag.Int("batch", 1024, "max rows per blocked assignment flush")
-		maxWait      = flag.Duration("wait", 200*time.Microsecond, "max time a request waits for its batch to fill")
 		threads      = flag.Int("threads", 0, "GEMM threads (0 = GOMAXPROCS)")
 		nodes        = flag.Int("nodes", 4, "simulated NUMA nodes to pin model shards across")
 		machines     = flag.Int("machines", 1, "shard each model's centroids across this many simulated machines (1 = single-node assigner)")
@@ -191,7 +190,7 @@ func main() {
 		fmt.Printf("knorserve worker rank %d/%d serving (coordinator %s)\n",
 			tr.Rank(), tr.Size(), cluster.Join)
 		err = shardserve.ServePeer(tr, shardserve.PeerOptions{
-			Batcher: serve.BatcherOptions{MaxBatch: *maxBatch, MaxWait: *maxWait, Threads: *threads},
+			Batcher: serve.BatcherOptions{MaxBatch: *maxBatch, Threads: *threads},
 		})
 		tr.Close()
 		if err != nil {
@@ -216,7 +215,7 @@ func main() {
 	}
 	srv, err := newServer(serverOptions{
 		transport: transport,
-		maxBatch:  *maxBatch, maxWait: *maxWait, threads: *threads,
+		maxBatch:  *maxBatch, threads: *threads,
 		nodes: *nodes, machines: *machines, replicas: *replicas, quota: *quota, stateDir: *stateDir,
 		publishEvery: *publishEvery, precision: prec, quantize: *quantize,
 		retainVersions: *retainVers, retainAge: *retainAge,
@@ -251,8 +250,8 @@ func main() {
 	if *quantize != "" {
 		mode += "+" + *quantize
 	}
-	fmt.Printf("knorserve listening on %s (batch=%d wait=%s threads=%d precision=%s machines=%d replicas=%d)\n",
-		ln.Addr(), *maxBatch, *maxWait, *threads, mode, *machines, *replicas)
+	fmt.Printf("knorserve listening on %s (batch=%d threads=%d precision=%s machines=%d replicas=%d)\n",
+		ln.Addr(), *maxBatch, *threads, mode, *machines, *replicas)
 	if err := serveUntil(ctx, ln, srv, *drainWait); err != nil {
 		fmt.Fprintln(os.Stderr, "knorserve:", err)
 		os.Exit(1)

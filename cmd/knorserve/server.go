@@ -24,7 +24,10 @@ import (
 )
 
 type serverOptions struct {
-	maxBatch     int
+	maxBatch int
+	// maxWait holds each batch open this long (serve.BatcherOptions.
+	// MaxWait). No flag sets it: the server flushes as soon as the
+	// flusher is free, and only tests set it, to park requests.
 	maxWait      time.Duration
 	threads      int
 	nodes        int
@@ -692,9 +695,9 @@ func (s *server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	as, err := s.batcher.AssignRows(req.Model, rows)
 	if err != nil {
 		if errors.Is(err, serve.ErrOverloaded) {
-			// Backpressure: the model's in-flight quota is exhausted. A
-			// batch flush drains within MaxWait, so a 1-second backoff
-			// is always enough headroom.
+			// Backpressure: the model's in-flight quota is exhausted.
+			// In-flight requests are answered by the next flush or two,
+			// so a 1-second backoff is ample headroom.
 			w.Header().Set("Retry-After", "1")
 			writeErr(w, http.StatusTooManyRequests, err)
 			return

@@ -22,9 +22,6 @@ func newTestServer(t *testing.T, opts serverOptions) (*server, *httptest.Server)
 	if opts.maxBatch == 0 {
 		opts.maxBatch = 64
 	}
-	if opts.maxWait == 0 {
-		opts.maxWait = time.Millisecond
-	}
 	if opts.threads == 0 {
 		opts.threads = 1
 	}

@@ -16,7 +16,8 @@ import (
 //     request that was already accepted keeps blocking on its batch
 //     answer, so while Shutdown waits, a kicker goroutine calls the
 //     batcher's Flush every few milliseconds: queued rows are answered
-//     immediately instead of waiting out MaxWait.
+//     immediately even when a batch window (serverOptions.maxWait)
+//     holds them.
 //  2. s.close() then stops the batcher, which answers anything still
 //     queued before its flusher exits, and is a no-op if nothing is.
 //

@@ -97,7 +97,7 @@ func TestShutdownDropsNoAcceptedAssign(t *testing.T) {
 
 // TestShutdownIdle checks a quiet server exits promptly and cleanly.
 func TestShutdownIdle(t *testing.T) {
-	s, err := newServer(serverOptions{maxBatch: 16, maxWait: time.Millisecond, threads: 1, nodes: 1})
+	s, err := newServer(serverOptions{maxBatch: 16, threads: 1, nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

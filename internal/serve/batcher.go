@@ -31,8 +31,11 @@ type BatcherOptions struct {
 	// MaxBatch flushes as soon as this many rows are queued (default
 	// 1024).
 	MaxBatch int
-	// MaxWait flushes a non-empty queue after this long even if
-	// MaxBatch was not reached (default 200µs).
+	// MaxWait holds each batch open this long for more rows unless
+	// MaxBatch is reached first. 0 (the default) does not linger: the
+	// flusher drains the queue as soon as it is free, so requests that
+	// arrive during a flush coalesce into the next one and batches grow
+	// with offered load without a timer on the idle path.
 	MaxWait time.Duration
 	// Threads parallelises the blocked GEMM (default 1).
 	Threads int
@@ -75,9 +78,6 @@ func (o BatcherOptions) withDefaults() BatcherOptions {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 1024
 	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 200 * time.Microsecond
-	}
 	if o.Threads <= 0 {
 		o.Threads = 1
 	}
@@ -118,8 +118,10 @@ type batchAnswer struct {
 
 // BatcherOf coalesces concurrent assignment requests into one blocked
 // ‖v‖²+‖c‖²−2·V·Cᵀ distance computation per flush. Callers block only
-// for their own answer; a background flusher drains the queue whenever
-// MaxBatch rows accumulate or MaxWait elapses after the first arrival.
+// for their own answer; a background flusher drains the queue as soon
+// as it is free, taking every request that arrived during the previous
+// flush together (with MaxWait > 0 it first holds each batch open until
+// MaxBatch rows accumulate or MaxWait elapses after the first arrival).
 // All rows of a flush that target the same model are answered by a
 // single model snapshot, so a concurrent Publish never splits one batch
 // across versions.
@@ -337,8 +339,9 @@ func (b *BatcherOf[T]) Close() {
 	<-b.done
 }
 
-// flusher sleeps until work arrives, gives the queue MaxWait to fill
-// (woken early when MaxBatch rows are reached), then drains it. The
+// flusher sleeps until work arrives and drains the queue. With
+// MaxWait == 0 it drains at once; otherwise it first gives the queue
+// MaxWait to fill (woken early when MaxBatch rows are reached). The
 // full channel only carries wakeups; the authoritative fullness check
 // is fullNow, so a token left over from a batch that drain already
 // picked up cannot cut the next batch's MaxWait window short.
@@ -351,7 +354,7 @@ func (b *BatcherOf[T]) flusher() {
 			b.drain()
 			return
 		}
-		if !b.fullNow() {
+		if b.opts.MaxWait > 0 && !b.fullNow() {
 			t := time.NewTimer(b.opts.MaxWait)
 		wait:
 			for {
@@ -385,9 +388,9 @@ func (b *BatcherOf[T]) fullNow() bool {
 // Flush synchronously answers everything queued right now, without
 // closing the batcher: new requests keep being accepted. The server's
 // shutdown path calls it repeatedly so in-flight handlers are answered
-// immediately instead of waiting out MaxWait. Safe concurrently with
-// the background flusher — each queued request is popped by exactly
-// one drain.
+// immediately instead of waiting out a positive MaxWait. Safe
+// concurrently with the background flusher — each queued request is
+// popped by exactly one drain.
 func (b *BatcherOf[T]) Flush() { b.drain() }
 
 // drain flushes until the queue is empty.
@@ -414,7 +417,8 @@ func (b *BatcherOf[T]) flush(batch []pendingReq[T]) {
 	flushStart := time.Now()
 	for i := range batch {
 		// Traced requests: the enqueue span is arrival → flush pickup
-		// (the MaxWait/MaxBatch coalescing window).
+		// (time queued behind the previous flush, plus the MaxWait
+		// window when one is set).
 		batch[i].trace.Span("enqueue", batch[i].start, flushStart)
 	}
 	groups := map[string][]int{}
@@ -446,11 +450,16 @@ func (b *BatcherOf[T]) flush(batch []pendingReq[T]) {
 		if total == 0 {
 			continue
 		}
-		a := make([]T, total*d)
-		off := 0
-		for _, i := range live {
-			copy(a[off:], batch[i].rows.Data)
-			off += len(batch[i].rows.Data)
+		// A lone request is already one contiguous row block: scan it
+		// in place instead of packing a copy.
+		a := batch[live[0]].rows.Data
+		if len(live) > 1 {
+			a = make([]T, total*d)
+			off := 0
+			for _, i := range live {
+				copy(a[off:], batch[i].rows.Data)
+				off += len(batch[i].rows.Data)
+			}
 		}
 		gemmStart := time.Now()
 		var assigns []Assignment

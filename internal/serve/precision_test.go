@@ -118,7 +118,7 @@ func benchAssign[T interface{ float32 | float64 }](b *testing.B, threads int) {
 		Kind: workload.UniformMultivariate, N: 4096, D: 16, Seed: 2,
 	})
 	queries := matrix.Convert[T](queries64)
-	bt := NewBatcherOf[T](reg, BatcherOptions{MaxBatch: 4096, MaxWait: 1, Threads: threads})
+	bt := NewBatcherOf[T](reg, BatcherOptions{MaxBatch: 4096, Threads: threads})
 	defer bt.Close()
 	b.SetBytes(int64(queries.Rows() * queries.RowBytes()))
 	b.ResetTimer()

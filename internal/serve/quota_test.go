@@ -108,7 +108,7 @@ func TestBatcherQuotaUnlimited(t *testing.T) {
 	if _, err := reg.Publish("m", cents); err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(reg, BatcherOptions{MaxWait: time.Microsecond})
+	b := NewBatcher(reg, BatcherOptions{})
 	defer b.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {

@@ -12,7 +12,7 @@ import (
 
 func TestAssignerUnknownModel(t *testing.T) {
 	sr := NewShardRegistry(2)
-	a := NewAssignerOf[float64](sr, serve.BatcherOptions{MaxWait: time.Microsecond})
+	a := NewAssignerOf[float64](sr, serve.BatcherOptions{})
 	defer a.Close()
 	if _, err := a.AssignBatch("ghost", matrix.NewDense(1, 3)); err == nil {
 		t.Fatal("unknown model answered")
@@ -103,7 +103,7 @@ func TestAssignerStats(t *testing.T) {
 	if _, err := sr.Publish("m", seqCentroids(6, 4, 0)); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAssignerOf[float32](sr, serve.BatcherOptions{MaxWait: time.Microsecond})
+	a := NewAssignerOf[float32](sr, serve.BatcherOptions{})
 	defer a.Close()
 	rows := matrix.NewDense(5, 4)
 	if _, err := a.AssignRows("m", rows); err != nil {

@@ -256,7 +256,7 @@ func runChaosOf[T blas.Float](cfg ChaosConfig) (ChaosStats, error) {
 	if _, err := PublishOf(sr, "chaos", matrix.Convert[T](cents)); err != nil {
 		return stats, err
 	}
-	asn := NewAssignerOf[T](sr, serve.BatcherOptions{MaxWait: time.Microsecond, Quantize: cfg.Quantize})
+	asn := NewAssignerOf[T](sr, serve.BatcherOptions{Quantize: cfg.Quantize})
 	defer asn.Close()
 
 	// The oracle: a single-node batcher over the same snapshots,
@@ -266,7 +266,7 @@ func runChaosOf[T blas.Float](cfg ChaosConfig) (ChaosStats, error) {
 	if _, err := serve.PublishOf(oreg, "chaos", matrix.Convert[T](cents)); err != nil {
 		return stats, err
 	}
-	oracle := serve.NewBatcherOf[T](oreg, serve.BatcherOptions{MaxWait: time.Microsecond})
+	oracle := serve.NewBatcherOf[T](oreg, serve.BatcherOptions{})
 	defer oracle.Close()
 
 	qs := workload.NewQueryStream(workload.Spec{

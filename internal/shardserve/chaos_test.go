@@ -74,13 +74,13 @@ func TestChaosKillEachMachine(t *testing.T) {
 			if _, err := oreg.Publish("m", cents); err != nil {
 				t.Fatal(err)
 			}
-			oracle := serve.NewBatcherOf[float64](oreg, serve.BatcherOptions{MaxWait: time.Microsecond})
+			oracle := serve.NewBatcherOf[float64](oreg, serve.BatcherOptions{})
 			defer oracle.Close()
 			sr := NewShardRegistryWith(Options{Machines: 3, Replicas: 2})
 			if _, err := sr.Publish("m", cents); err != nil {
 				t.Fatal(err)
 			}
-			asn := NewAssignerOf[float64](sr, serve.BatcherOptions{MaxWait: time.Microsecond})
+			asn := NewAssignerOf[float64](sr, serve.BatcherOptions{})
 			defer asn.Close()
 
 			want, err := oracle.AssignBatch("m", queries)
@@ -153,7 +153,7 @@ func TestChaosUnavailableConfined(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	asn := NewAssignerOf[float64](sr, serve.BatcherOptions{MaxWait: time.Microsecond})
+	asn := NewAssignerOf[float64](sr, serve.BatcherOptions{})
 	defer asn.Close()
 
 	oracle := func(cents, queries *matrix.Dense) []serve.Assignment {
@@ -162,7 +162,7 @@ func TestChaosUnavailableConfined(t *testing.T) {
 		if _, err := reg.Publish("m", cents); err != nil {
 			t.Fatal(err)
 		}
-		b := serve.NewBatcherOf[float64](reg, serve.BatcherOptions{MaxWait: time.Microsecond})
+		b := serve.NewBatcherOf[float64](reg, serve.BatcherOptions{})
 		defer b.Close()
 		want, err := b.AssignBatch("m", queries)
 		if err != nil {
@@ -219,7 +219,7 @@ func TestChaosPublishRaceFailover(t *testing.T) {
 	if _, err := sr.Publish("m", seqCentroids(8, 4, 0)); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAssignerOf[float64](sr, serve.BatcherOptions{MaxWait: time.Microsecond})
+	a := NewAssignerOf[float64](sr, serve.BatcherOptions{})
 	defer a.Close()
 
 	stop := make(chan struct{})

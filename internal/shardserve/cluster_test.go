@@ -73,7 +73,7 @@ func startServeCluster(t *testing.T, m, replicas int) *serveCluster {
 		go func(r int) {
 			defer c.peers.Done()
 			if err := ServePeer(c.ts[r], PeerOptions{
-				Batcher:    serve.BatcherOptions{MaxWait: time.Microsecond, Threads: 1},
+				Batcher:    serve.BatcherOptions{Threads: 1},
 				PulseEvery: 50 * time.Millisecond,
 			}); err != nil {
 				t.Errorf("peer rank %d: %v", r, err)
@@ -130,9 +130,9 @@ func clusterParity[T blas.Float](t *testing.T) {
 	if _, err := c.reg.Publish("m", cents); err != nil {
 		t.Fatal(err)
 	}
-	oracle := serve.NewBatcherOf[T](c.reg, serve.BatcherOptions{MaxWait: time.Microsecond})
+	oracle := serve.NewBatcherOf[T](c.reg, serve.BatcherOptions{})
 	defer oracle.Close()
-	assigner := NewAssignerOf[T](c.sr, serve.BatcherOptions{MaxWait: time.Microsecond})
+	assigner := NewAssignerOf[T](c.sr, serve.BatcherOptions{})
 	defer assigner.Close()
 
 	q := matrix.Convert[T](queries)
@@ -180,9 +180,9 @@ func TestClusterRepublish(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oracle := serve.NewBatcherOf[float64](c.reg, serve.BatcherOptions{MaxWait: time.Microsecond})
+	oracle := serve.NewBatcherOf[float64](c.reg, serve.BatcherOptions{})
 	defer oracle.Close()
-	assigner := NewAssignerOf[float64](c.sr, serve.BatcherOptions{MaxWait: time.Microsecond})
+	assigner := NewAssignerOf[float64](c.sr, serve.BatcherOptions{})
 	defer assigner.Close()
 	want, err := oracle.AssignBatch("m", queries)
 	if err != nil {

@@ -25,7 +25,7 @@ func TestClusterMetricsFederation(t *testing.T) {
 	if _, err := c.reg.Publish("m", cents); err != nil {
 		t.Fatal(err)
 	}
-	assigner := NewAssignerOf[float64](c.sr, serve.BatcherOptions{MaxWait: time.Microsecond})
+	assigner := NewAssignerOf[float64](c.sr, serve.BatcherOptions{})
 	defer assigner.Close()
 	if _, err := assigner.AssignBatch("m", queries); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestClusterStitchedTrace(t *testing.T) {
 	}
 	tracer := telemetry.NewTracer(1, 8)
 	assigner := NewAssignerOf[float64](c.sr, serve.BatcherOptions{
-		MaxWait: time.Microsecond, Tracer: tracer,
+		Tracer: tracer,
 	})
 	defer assigner.Close()
 	if _, err := assigner.AssignBatch("m", queries); err != nil {

@@ -62,14 +62,14 @@ func runParity[T blas.Float](t *testing.T, machines, k, d, nq int, seed int64) {
 	if _, err := reg.Publish("m", cents); err != nil {
 		t.Fatal(err)
 	}
-	single := serve.NewBatcherOf[T](reg, serve.BatcherOptions{MaxWait: time.Microsecond})
+	single := serve.NewBatcherOf[T](reg, serve.BatcherOptions{})
 	defer single.Close()
 
 	sr := NewShardRegistry(machines)
 	if _, err := sr.Publish("m", cents); err != nil {
 		t.Fatal(err)
 	}
-	sharded := NewAssignerOf[T](sr, serve.BatcherOptions{MaxWait: time.Microsecond})
+	sharded := NewAssignerOf[T](sr, serve.BatcherOptions{})
 	defer sharded.Close()
 
 	q := matrix.Convert[T](queries)
@@ -130,7 +130,7 @@ func TestAssignerConcurrentRepublish(t *testing.T) {
 	if _, err := sr.Publish("m", seqCentroids(8, 4, 0)); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAssignerOf[float64](sr, serve.BatcherOptions{MaxWait: time.Microsecond})
+	a := NewAssignerOf[float64](sr, serve.BatcherOptions{})
 	defer a.Close()
 
 	stop := make(chan struct{})
@@ -193,9 +193,9 @@ func TestShardParityAcrossRepublish(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	single := serve.NewBatcher(reg, serve.BatcherOptions{MaxWait: time.Microsecond})
+	single := serve.NewBatcher(reg, serve.BatcherOptions{})
 	defer single.Close()
-	sharded := NewAssignerOf[float64](sr, serve.BatcherOptions{MaxWait: time.Microsecond})
+	sharded := NewAssignerOf[float64](sr, serve.BatcherOptions{})
 	defer sharded.Close()
 
 	want, err := single.AssignBatch("m", queries)
