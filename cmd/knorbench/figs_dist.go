@@ -28,11 +28,11 @@ func distBase(k, threads, scaleDiv int) knor.Config {
 // runDist runs a distributed configuration. The MLlib mode's per-task
 // dispatch is 1ms per full-scale 8192-row partition; with the harness's
 // 512-row tasks that is 1ms×512/8192 per task, and because task count
-// scales with n no further scale correction is needed.
+// scales with n no further scale correction is needed. (MLlib never
+// prunes: the mode turns pruning off itself.)
 func runDist(data *knor.Matrix, machines int, mode dist.Mode, cfg knor.Config) *knor.Result {
 	dcfg := knor.DistConfig{Machines: machines, Mode: mode, Kmeans: cfg}
 	if mode == knor.ModeMLlib {
-		dcfg.Kmeans.Prune = knor.PruneNone
 		dcfg.MLlibTaskOverhead = 1e-3 * float64(cfg.TaskSize) / 8192
 	}
 	res, err := knor.RunDistributed(data, dcfg)

@@ -8,9 +8,10 @@
 //	knord -machines 8 -threads 18 -k 10 -data rm1b.knor
 //	knord -machines 4 -mode mllib -gen-n 500000 -gen-d 32
 //
-// By default the M machines are simulated inside one process. With
-// -listen/-join the same computation runs as M real OS processes over
-// internal/netcluster TCP (mode knord only):
+// By default the M machines are simulated inside one process: M ranks
+// of the same runner over an in-process transport. With -listen/-join
+// the same computation runs as M real OS processes over
+// internal/netcluster TCP:
 //
 //	knord -listen 127.0.0.1:7001 -machines 3 -threads 1 -k 8   # coordinator, rank 0
 //	knord -join 127.0.0.1:7001 -threads 1 -k 8                 # each worker (run M-1 times)
@@ -20,9 +21,11 @@
 // clusters. Rank 0 prints the result plus a `checksum:` line (FNV-1a
 // over centroid bits, assignments, SSE bits and the iteration count);
 // single-process runs print the same line, and with -threads 1 the
-// checksums match bit for bit across sim, simgroup and TCP runs of the
-// same machine count (see DESIGN.md §Transport for why the thread and
-// machine counts pin the floating-point fold order).
+// checksums match bit for bit between single-process and TCP runs of
+// the same machine count (see DESIGN.md §Transport for why the thread
+// and machine counts pin the floating-point fold order). Both report
+// the same simulated time: every rank charges the same modelled
+// collectives.
 package main
 
 import (
@@ -33,15 +36,11 @@ import (
 	"math"
 	"os"
 	"strings"
-	"sync"
 
 	"knor"
 	"knor/internal/cliutil"
-	"knor/internal/cluster"
 	"knor/internal/dist"
-	"knor/internal/kmeans"
 	"knor/internal/netcluster"
-	"knor/internal/simclock"
 )
 
 func main() {
@@ -61,7 +60,7 @@ func main() {
 		nodes     = flag.Int("nodes", 2, "NUMA nodes per machine")
 		cores     = flag.Int("cores", 9, "cores per NUMA node")
 		seed      = flag.Int64("seed", 1, "algorithm seed")
-		precision = flag.String("precision", "64", "element type for the transport runner: 32 | 64 (64 uses the legacy simulated path when no cluster flags are set)")
+		precision = flag.String("precision", "64", "element type: 32 | 64")
 		verbose   = flag.Bool("v", false, "print per-iteration stats")
 	)
 	var clusterf cliutil.ClusterFlags
@@ -111,9 +110,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if role != cliutil.RoleSolo && cfg.Mode != knor.ModeKnord {
-		fatal(fmt.Errorf("cluster mode (-listen/-join) supports -mode knord only, not %q", *mode))
-	}
 
 	// The digest covers every flag that changes the computation, so the
 	// bootstrap handshake rejects a cluster whose processes were started
@@ -124,8 +120,8 @@ func main() {
 	if dataID == "" {
 		dataID = fmt.Sprintf("gen:%d:%d:%d", *genN, *genD, *genSeed)
 	}
-	digest := fmt.Sprintf("knord:k=%d it=%d seed=%d th=%d ts=%d prune=%s init=%s nodes=%d cores=%d p=%s data=%s",
-		*k, *iters, *seed, *threads, *taskSize, strings.ToLower(*prune), strings.ToLower(*initM),
+	digest := fmt.Sprintf("knord:mode=%s k=%d it=%d seed=%d th=%d ts=%d prune=%s init=%s nodes=%d cores=%d p=%s data=%s",
+		cfg.Mode, *k, *iters, *seed, *threads, *taskSize, strings.ToLower(*prune), strings.ToLower(*initM),
 		*nodes, *cores, prec, dataID)
 
 	var res *knor.Result
@@ -160,14 +156,7 @@ func main() {
 			fatal(err)
 		}
 	default: // solo: one process, M simulated machines
-		if prec == kmeans.Precision32 {
-			// The legacy simulated path is float64-only; float32 runs the
-			// transport runner over the in-process simulated mesh, which
-			// is bit-identical to the TCP path (internal/dist parity tests).
-			res, err = runSimGroup(data, cfg, prec)
-		} else {
-			res, err = knor.RunDistributed(data, cfg)
-		}
+		res, err = dist.RunPrecision(data, cfg, prec)
 		if err != nil {
 			fatal(err)
 		}
@@ -188,35 +177,9 @@ func main() {
 	}
 }
 
-// runSimGroup runs the transport runner over the in-process simulated
-// mesh: M goroutines sharing one dataset, each driving its rank exactly
-// as a real process would. Rank 0's result carries the gathered
-// assignments and SSE.
-func runSimGroup(data *knor.Matrix, cfg knor.DistConfig, p knor.Precision) (*knor.Result, error) {
-	g := netcluster.NewSimGroup(cluster.New(cfg.Machines, simclock.DefaultCostModel()))
-	defer g.Close()
-	results := make([]*knor.Result, cfg.Machines)
-	errs := make([]error, cfg.Machines)
-	var wg sync.WaitGroup
-	for r := 0; r < cfg.Machines; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			results[r], errs[r] = dist.RunTransport(g.Transport(r), data, cfg, p)
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results[0], nil
-}
-
 // resultChecksum folds everything the cluster acceptance compares —
 // iteration count, centroid bits, assignments, SSE bits — into one
-// FNV-1a value, so "bit-identical results" across sim, simgroup and
+// FNV-1a value, so "bit-identical results" across single-process and
 // multi-process TCP runs is a one-line string comparison in smoke
 // scripts. Meaningful on rank 0 only (workers do not hold the gathered
 // assignments).

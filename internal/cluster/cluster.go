@@ -1,25 +1,21 @@
 // Package cluster simulates the multi-machine substrate knord runs on:
 // M machines with one NIC each on a switched network, plus the MPI-style
-// collectives the paper's distributed modules use (broadcast, allreduce,
-// gather, barrier).
+// collectives the paper's distributed modules use (broadcast, ring
+// allreduce, gather, master dispatch).
 //
 // Cost structure is the standard alpha-beta model: one hop costs
-// NetLatency + bytes/NetBandwidth. Two allreduce algorithms are
-// provided: Allreduce is recursive doubling (log₂M rounds, each moving
-// the full payload — the latency-optimal choice for small payloads),
-// while RingAllreduce is the bandwidth-optimal ring knord's and the
-// MPI mode's iteration merge use (2(M-1) rounds of bytes/M segments).
-// Gather serialises all senders through the root's NIC — the master
-// bottleneck that separates decentralised knord from master-worker
-// designs in Figures 11–12.
+// NetLatency + bytes/NetBandwidth. RingAllreduce is the
+// bandwidth-optimal ring knord's and the MPI mode's iteration merge use
+// (2(M-1) rounds of bytes/M segments). Gather serialises all senders
+// through the root's NIC — the master bottleneck that separates
+// decentralised knord from master-worker designs in Figures 11–12.
 //
-// Cost convention: Allreduce, Gather, Bcast and Barrier charge pure
-// alpha-beta wire costs; the software collective-initiation setup
-// (CostModel.NetSetup) is the caller's to charge per collective, as
-// knord's collectives layer does (internal/dist/collectives.go).
-// RingAllreduce and MinAllreduce (minreduce.go, the serving layer's
-// argmin merge) are the self-contained collectives: they charge their
-// own setup and book transfer time on every NIC Resource.
+// Cost convention: Gather and Bcast charge pure alpha-beta wire costs;
+// the software collective-initiation setup (CostModel.NetSetup) is the
+// caller's to charge per collective. RingAllreduce and MinAllreduce
+// (minreduce.go, the serving layer's argmin merge) are the
+// self-contained collectives: they charge their own setup and book
+// transfer time on every NIC Resource.
 package cluster
 
 import (
@@ -81,16 +77,6 @@ func (n *Network) rounds() int {
 	return int(math.Ceil(math.Log2(float64(n.M))))
 }
 
-// Barrier synchronises all machines: everyone advances to the global
-// max plus a latency-scaled tree cost.
-func (n *Network) Barrier() float64 {
-	t := n.maxClock() + float64(n.rounds())*n.Model.NetLatency
-	for i := range n.clocks {
-		n.clocks[i].Reset(t)
-	}
-	return t
-}
-
 // Bcast broadcasts `bytes` from root along a binomial tree. All
 // machines end synchronised at the completion time.
 func (n *Network) Bcast(root, bytes int) float64 {
@@ -100,18 +86,6 @@ func (n *Network) Bcast(root, bytes int) float64 {
 	if mx := n.maxClock(); mx > t {
 		t = mx
 	}
-	for i := range n.clocks {
-		n.clocks[i].Reset(t)
-	}
-	return t
-}
-
-// Allreduce reduces `bytes` across all machines with recursive
-// doubling: log₂M rounds, each a pairwise exchange of the payload.
-// Afterwards every machine holds the result and is synchronised (the
-// collective is itself a barrier). Returns completion time.
-func (n *Network) Allreduce(bytes int) float64 {
-	t := n.maxClock() + float64(n.rounds())*n.hop(bytes)
 	for i := range n.clocks {
 		n.clocks[i].Reset(t)
 	}
@@ -177,15 +151,5 @@ func (n *Network) MasterDispatch(root, tasks int, overhead float64) {
 		done := n.nics[root].Acquire(n.clocks[root].Now(), overhead)
 		n.clocks[root].AdvanceTo(done)
 		n.clocks[w].AdvanceTo(done + n.Model.NetLatency)
-	}
-}
-
-// ResetAll sets every machine clock to t and clears NIC state.
-func (n *Network) ResetAll(t float64) {
-	for i := range n.clocks {
-		n.clocks[i].Reset(t)
-	}
-	for _, nic := range n.nics {
-		nic.Reset()
 	}
 }

@@ -1,11 +1,15 @@
 package dist
 
-// The collectives layer: how each mode moves the per-machine delta
-// accumulators (kmeans.Accum.SerializedBytes per machine) across the
-// simulated cluster once per iteration, and what it costs.
+import "knor/internal/cluster"
+
+// The collectives' cost model: what each mode's once-per-iteration
+// merge of the per-machine delta accumulators (kmeans.Accum.
+// SerializedBytes per machine) costs on the simulated cluster. Every
+// rank charges its own replica cluster.Network with identical inputs,
+// so all replicas hold identical clocks.
 //
-// The *value* of the reduction is always the fixed-machine-order sum
-// computed in run() — collectives here only advance simulated time, so
+// The *value* of the reduction is always the fixed-rank-order fold of
+// the allgathered deltas — costs here only advance simulated time, so
 // the numerical result is independent of the algorithm being costed.
 //
 // Costs, with M machines, payload B, latency α, bandwidth β⁻¹:
@@ -20,20 +24,15 @@ package dist
 //	    model — per-NIC traffic at the master grows linearly with M,
 //	    the Figure 12 bottleneck.
 
-// collective runs the configured iteration-merge over the network,
-// composing the machine engine clocks with the interconnect: machine
-// clocks are first synced into the cluster view, the collective
-// advances them through the NICs, and the result is pushed back into
-// every engine's worker clocks.
-func (c *clusterState) collective() {
-	c.syncNetClocks()
-	switch c.cfg.Mode {
+// collective charges the configured iteration merge of payload bytes
+// per machine on net, whose clocks hold each machine's local-phase end.
+func collective(net *cluster.Network, mode Mode, payload int) {
+	switch mode {
 	case ModeKnord, ModeMPI:
-		c.net.RingAllreduce(c.payload)
+		net.RingAllreduce(payload)
 	case ModeMLlib:
-		c.driverAggregate()
+		driverAggregate(net, payload)
 	}
-	c.pushNetClocks()
 }
 
 // driverAggregate is MLlib's master-worker merge: every executor
@@ -41,24 +40,24 @@ func (c *clusterState) collective() {
 // queueing through the driver's NIC; the driver deserialises and folds
 // the M-1 payloads serially, then broadcasts the new model. Workers
 // deserialise the broadcast before resuming.
-func (c *clusterState) driverAggregate() {
-	model := c.kcfg.Model
-	ser := float64(c.payload) * model.SerializeByteCost
+func driverAggregate(net *cluster.Network, payload int) {
+	model := net.Model
+	ser := float64(payload) * model.SerializeByteCost
 	// Collective setup is paid once per collective — the gather here
 	// and the broadcast below — matching the ring's accounting, plus
 	// executor-side serialisation before the send leaves.
-	for m := 1; m < c.cfg.Machines; m++ {
-		c.net.Clock(m).Advance(model.NetSetup + ser)
+	for m := 1; m < net.M; m++ {
+		net.Clock(m).Advance(model.NetSetup + ser)
 	}
-	c.net.Gather(0, c.payload)
+	net.Gather(0, payload)
 	// Driver-side deserialise + merge of each arriving payload, plus
 	// one model rebuild: serial work on the driver's clock. flops are
 	// one add per sum/count slot per merged payload.
-	flops := float64(c.payload) / 8 * model.FlopTime
-	c.net.Clock(0).Advance(float64(c.cfg.Machines-1)*(ser+flops) + model.NetSetup)
-	c.net.Bcast(0, c.payload)
+	flops := float64(payload) / 8 * model.FlopTime
+	net.Clock(0).Advance(float64(net.M-1)*(ser+flops) + model.NetSetup)
+	net.Bcast(0, payload)
 	// Every worker unpacks the broadcast model.
-	for m := 0; m < c.cfg.Machines; m++ {
-		c.net.Clock(m).Advance(ser)
+	for m := 0; m < net.M; m++ {
+		net.Clock(m).Advance(ser)
 	}
 }

@@ -1,13 +1,16 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
+	"knor/internal/blas"
 	"knor/internal/cluster"
 	"knor/internal/frameworks"
 	"knor/internal/kmeans"
 	"knor/internal/matrix"
+	"knor/internal/netcluster"
 	"knor/internal/numa"
 	"knor/internal/sched"
 )
@@ -75,227 +78,87 @@ func (c Config) validate(n int) error {
 	return nil
 }
 
-// Run executes the distributed module over the simulated cluster and
-// returns an aggregate Result: global assignments in input row order,
-// the converged centroids, cluster-wide per-iteration stats, and the
-// total memory footprint summed across machines.
-func Run(data *matrix.Dense, cfg Config) (*kmeans.Result, error) {
-	if data == nil || data.Rows() == 0 {
-		return nil, fmt.Errorf("dist: empty dataset")
-	}
-	if err := cfg.validate(data.Rows()); err != nil {
-		return nil, err
-	}
-	kcfg, err := cfg.Kmeans.WithDefaults(data.Rows())
-	if err != nil {
-		return nil, err
-	}
-
-	// Spherical runs normalise a global copy exactly as the serial
-	// oracle does: the init and the SSE are computed on it, while each
-	// shard engine normalises its own raw rows (the identical row-wise
-	// operation, so shard rows match the oracle's bit for bit).
-	full := data
-	if kcfg.Spherical {
-		full = data.Clone()
-		matrix.NormalizeRows(full)
-	}
-
-	// Initial centroids come from the FULL dataset — the one global
-	// step of the paper's design (the root scatters the seed centroids
-	// before iteration 0). Sharding the init instead would make the
-	// result depend on the machine count.
-	init := kmeans.InitCentroidsFor(full, kcfg)
-
-	c, err := newClusterState(data, full, cfg, kcfg, init)
-	if err != nil {
-		return nil, err
-	}
-	return c.run()
-}
-
-// clusterState is one distributed run: the shards, the per-machine
-// engines and the simulated interconnect.
-type clusterState struct {
-	cfg  Config
-	kcfg kmeans.Config // validated, with defaults
-
-	data   *matrix.Dense // full (normalised if spherical) matrix
-	shards []Shard
-	engs   []*kmeans.Engine
-	net    *cluster.Network
-
-	payload    int // allreduce bytes per machine (accum wire size)
-	totalTasks int // cluster-wide task count, for MLlib dispatch
-}
-
-func newClusterState(raw, full *matrix.Dense, cfg Config, kcfg kmeans.Config, init *matrix.Dense) (*clusterState, error) {
-	n, d := full.Rows(), full.Cols()
-
-	// All machines start from identical given centroids; the per-shard
-	// engines must not re-run the (data-dependent) init method. On
-	// spherical runs the engine normalises the given centroids itself,
-	// matching the oracle's post-init normalise, so `init` is passed
-	// un-normalised.
-	shardCfg := kcfg
-	shardCfg.Init = kmeans.InitGiven
-	shardCfg.Centroids = init
-	switch cfg.Mode {
+// engineConfig maps the mode onto one machine's engine. Every machine
+// starts from the identical given centroids: the per-shard engines must
+// not re-run the (data-dependent) init. On spherical runs the engine
+// normalises the given centroids itself, matching the oracle's
+// post-init normalise, so init is passed un-normalised.
+func (c Config) engineConfig(kcfg kmeans.Config, init *matrix.Dense) kmeans.Config {
+	e := kcfg
+	e.Init = kmeans.InitGiven
+	e.Centroids = init
+	switch c.Mode {
 	case ModeKnord:
 		// The paper's engine, as configured by the caller.
 	case ModeMPI:
 		// A routine MPI port runs unpinned processes over first-touch
 		// allocation: the NUMA-oblivious baseline inside each machine.
-		shardCfg.NUMAOblivious = true
-		shardCfg.Placement = numa.PlaceSingleBank
-		shardCfg.Sched = sched.FIFO
+		e.NUMAOblivious = true
+		e.Placement = numa.PlaceSingleBank
+		e.Sched = sched.FIFO
 	case ModeMLlib:
-		// Spark executors: JVM rows, no pinning, FIFO task queues. The
-		// boxed-row cost reuses the Figure 9 calibration so single-node
-		// and distributed MLlib emulations agree.
-		p := frameworks.ProfileOf(frameworks.MLlib)
-		shardCfg.NUMAOblivious = true
-		shardCfg.Placement = numa.PlaceSingleBank
-		shardCfg.Sched = sched.FIFO
-		shardCfg.Model.RowOverhead += p.RowOverhead
+		// Spark executors: JVM rows, no pinning, FIFO task queues, no
+		// pruning. The boxed-row cost reuses the Figure 9 calibration so
+		// single-node and distributed MLlib emulations agree.
+		e.NUMAOblivious = true
+		e.Placement = numa.PlaceSingleBank
+		e.Sched = sched.FIFO
+		e.Prune = kmeans.PruneNone
+		e.Model.RowOverhead += frameworks.ProfileOf(frameworks.MLlib).RowOverhead
 	}
-
-	c := &clusterState{
-		cfg:    cfg,
-		kcfg:   kcfg,
-		data:   full,
-		shards: Partition(n, cfg.Machines),
-		net:    cluster.New(cfg.Machines, kcfg.Model),
-	}
-	c.payload = kmeans.NewAccum(kcfg.K, d).SerializedBytes()
-	c.engs = make([]*kmeans.Engine, cfg.Machines)
-	for m, sh := range c.shards {
-		eng, err := kmeans.NewEngine(sh.View(raw), shardCfg)
-		if err != nil {
-			return nil, fmt.Errorf("dist: machine %d (rows %d..%d): %w", m, sh.Lo, sh.Hi, err)
-		}
-		c.engs[m] = eng
-		c.totalTasks += sh.Tasks(kcfg.TaskSize)
-	}
-	return c, nil
+	return e
 }
 
-// run drives the decentralised iteration loop: per-machine local
-// super-phases in (real) parallel, one collective, then the identical
-// global apply on every machine.
-func (c *clusterState) run() (*kmeans.Result, error) {
-	M := c.cfg.Machines
-	k, d := c.kcfg.K, c.data.Cols()
-	res := &kmeans.Result{}
-	prevEnd := 0.0
-
-	stats := make([]kmeans.IterStats, M)
-	deltas := make([]*kmeans.Accum, M)
-	for iter := 0; iter < c.kcfg.MaxIters; iter++ {
-		// MLlib's driver serially ships every partition task before the
-		// executors can start computing (Figure 12's per-task cost).
-		if c.cfg.Mode == ModeMLlib && c.cfg.MLlibTaskOverhead > 0 {
-			c.syncNetClocks()
-			c.net.MasterDispatch(0, c.totalTasks, c.cfg.MLlibTaskOverhead)
-			c.pushNetClocks()
-		}
-
-		// Local super-phase on every machine. The machines are
-		// independent until the collective, so they run on real
-		// goroutines; determinism holds because no state is shared.
-		var wg sync.WaitGroup
-		for m := 0; m < M; m++ {
-			wg.Add(1)
-			go func(m int) {
-				defer wg.Done()
-				stats[m], deltas[m] = c.engs[m].LocalPhase(iter)
-			}(m)
-		}
-		wg.Wait()
-
-		// The collective's *value* is reduced in fixed machine order so
-		// the numerical result never depends on the simulated algorithm
-		// (ring vs gather) or on machine arrival times.
-		global := kmeans.NewAccum(k, d)
-		for m := 0; m < M; m++ {
-			global.Merge(deltas[m])
-		}
-		c.collective()
-
-		// Identical apply everywhere: same delta into the same sums
-		// gives every machine bit-identical next centroids — no
-		// broadcast of centroids is needed beyond the collective above.
-		var drift float64
-		changed := 0
-		for m := 0; m < M; m++ {
-			drift = c.engs[m].ApplyGlobal(global)
-			changed += stats[m].RowsChanged
-		}
-
-		st := aggregateStats(stats)
-		st.Iter = iter
-		st.Drift = drift
-		iterEnd := c.maxEngineClock()
-		st.SimSeconds = iterEnd - prevEnd
-		prevEnd = iterEnd
-		res.PerIter = append(res.PerIter, st)
-		res.Iters = iter + 1
-		if iter > 0 && (changed == 0 || drift <= c.kcfg.Tol) {
-			res.Converged = true
-			break
-		}
-	}
-	c.finish(res, prevEnd)
-	return res, nil
+// Run executes the distributed module over the simulated cluster at
+// float64 and returns an aggregate Result: global assignments in input
+// row order, the converged centroids, cluster-wide per-iteration stats,
+// and the total memory footprint summed across machines.
+func Run(data *matrix.Dense, cfg Config) (*kmeans.Result, error) {
+	return RunPrecision(data, cfg, kmeans.Precision64)
 }
 
-// finish assembles the aggregate result from the machine engines.
-func (c *clusterState) finish(res *kmeans.Result, end float64) {
-	n := c.data.Rows()
-	assign := make([]int32, n)
-	for m, sh := range c.shards {
-		copy(assign[sh.Lo:sh.Hi], c.engs[m].Assign())
+// RunPrecision is Run at the requested precision. The simulated cluster
+// is cfg.Machines goroutine ranks of the transport runner over an
+// in-process netcluster.SimGroup, sharing one prepared input; the
+// result is rank 0's, which carries the gathered assignments.
+func RunPrecision(data *matrix.Dense, cfg Config, p kmeans.Precision) (*kmeans.Result, error) {
+	if p == kmeans.Precision32 {
+		return runSim[float32](data, cfg)
 	}
-	cents := c.engs[0].Centroids()
-	res.Centroids = cents
-	res.Assign = assign
-	res.Sizes = make([]int, c.kcfg.K)
-	for _, a := range assign {
-		if a >= 0 {
-			res.Sizes[a]++
+	return runSim[float64](data, cfg)
+}
+
+func runSim[T blas.Float](data *matrix.Dense, cfg Config) (*kmeans.Result, error) {
+	in, err := prepare[T](data, cfg)
+	if err != nil {
+		return nil, err
+	}
+	g := netcluster.NewSimGroup(cluster.New(cfg.Machines, in.kcfg.Model))
+	defer g.Close()
+	results := make([]*kmeans.Result, cfg.Machines)
+	errs := make([]error, cfg.Machines)
+	var wg sync.WaitGroup
+	for r := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if results[r], errs[r] = in.run(g.Transport(r)); errs[r] != nil {
+				g.Close() // unblock the ranks waiting on this one
+			}
+		}()
+	}
+	wg.Wait()
+	// Report the lowest failing rank's own error; the ranks the close
+	// unblocked only echo it.
+	for _, err := range errs {
+		if err != nil && !errors.Is(err, netcluster.ErrClosed) {
+			return nil, err
 		}
 	}
-	res.SSE = kmeans.SSEOf(c.data, cents, assign)
-	res.SimSeconds = end
-	res.MemoryBytes = c.memoryBytes()
-}
-
-// syncNetClocks advances every machine's network clock to its engine's
-// latest worker time, so collectives start when computation finished.
-func (c *clusterState) syncNetClocks() {
-	for m := range c.engs {
-		c.net.Clock(m).AdvanceTo(c.engs[m].Group().Max())
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
-}
-
-// pushNetClocks pushes the post-collective network time back into
-// every engine's worker clocks — the inverse of syncNetClocks, so the
-// clock-composition rule lives in exactly one pair of helpers.
-func (c *clusterState) pushNetClocks() {
-	for m := range c.engs {
-		c.engs[m].Group().ResetAll(c.net.Clock(m).Now())
-	}
-}
-
-// maxEngineClock returns the cluster-wide latest simulated time.
-func (c *clusterState) maxEngineClock() float64 {
-	mx := 0.0
-	for _, e := range c.engs {
-		if t := e.Group().Max(); t > mx {
-			mx = t
-		}
-	}
-	return mx
+	return results[0], nil
 }
 
 // aggregateStats sums per-machine iteration stats into cluster totals.
@@ -313,24 +176,4 @@ func aggregateStats(stats []kmeans.IterStats) kmeans.IterStats {
 		st.RowCacheHits += stats[i].RowCacheHits
 	}
 	return st
-}
-
-// memoryBytes is the aggregate cluster footprint: every machine holds
-// its shard, its engine state, and the two collective buffers (send +
-// receive). MLlib additionally inflates the data representation by the
-// Figure 9 memory factor.
-func (c *clusterState) memoryBytes() uint64 {
-	d := c.data.Cols()
-	dataFactor := 1.0
-	if c.cfg.Mode == ModeMLlib {
-		dataFactor = frameworks.ProfileOf(frameworks.MLlib).MemFactor
-	}
-	var total uint64
-	for _, sh := range c.shards {
-		rows := sh.Hi - sh.Lo
-		total += uint64(float64(rows) * float64(d) * 8 * dataFactor)
-		total += kmeans.StateBytes(rows, d, c.kcfg.K, c.kcfg.Threads, c.kcfg.Prune)
-		total += 2 * uint64(c.payload)
-	}
-	return total
 }

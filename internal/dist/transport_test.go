@@ -1,7 +1,10 @@
 package dist
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -237,9 +240,93 @@ func TestTransportRejectsMismatch(t *testing.T) {
 	if _, err := RunTransport(ts[0], data, cfg, kmeans.Precision64); err == nil {
 		t.Fatal("machine-count mismatch should error")
 	}
-	cfg.Machines = 2
-	cfg.Mode = ModeMLlib
-	if _, err := RunTransport(ts[0], data, cfg, kmeans.Precision64); err == nil {
-		t.Fatal("non-knord mode should error")
+}
+
+// TestTransportSimulatedTimeParity: every rank charges the same
+// modelled collectives whatever transport carries the frames, so a run
+// over real TCP sockets, one over a SimGroup and the in-process
+// RunPrecision all report the same simulated time, bit for bit, in
+// every mode and at both precisions.
+func TestTransportSimulatedTimeParity(t *testing.T) {
+	data := testData(900, 6, 5, 21)
+	for _, mode := range []Mode{ModeKnord, ModeMPI, ModeMLlib} {
+		for _, m := range []int{2, 3} {
+			cfg := Config{Machines: m, Mode: mode, Kmeans: parityCfg(5), MLlibTaskOverhead: 1e-5}
+			for _, p := range []kmeans.Precision{kmeans.Precision64, kmeans.Precision32} {
+				want, err := RunPrecision(data, cfg, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%v m=%d p=%v", mode, m, p)
+				for name, ts := range map[string][]netcluster.Transport{
+					"tcp": tcpTransports(t, m), "simgroup": simTransports(t, m),
+				} {
+					got := runRanks(t, ts, data, cfg, p)[0]
+					requireBitIdentical(t, want, got, label+" "+name)
+					if math.Float64bits(got.SimSeconds) != math.Float64bits(want.SimSeconds) {
+						t.Fatalf("%s %s: SimSeconds %g, RunPrecision %g", label, name, got.SimSeconds, want.SimSeconds)
+					}
+					for i := range want.PerIter {
+						if math.Float64bits(got.PerIter[i].SimSeconds) != math.Float64bits(want.PerIter[i].SimSeconds) {
+							t.Fatalf("%s %s: iteration %d SimSeconds %g, RunPrecision %g",
+								label, name, i, got.PerIter[i].SimSeconds, want.PerIter[i].SimSeconds)
+						}
+					}
+					if got.MemoryBytes != want.MemoryBytes {
+						t.Fatalf("%s %s: MemoryBytes %d, RunPrecision %d", label, name, got.MemoryBytes, want.MemoryBytes)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunFailingRankDoesNotHang: 50 rows over 24 machines leaves ranks
+// 0-1 with 3 rows (enough for k=3) and every later rank with 2. Ranks
+// 0-1 build their engines and wait in the first allgather; the run
+// must still return promptly, with a failing machine's own error
+// rather than the closed transport's echo.
+func TestRunFailingRankDoesNotHang(t *testing.T) {
+	data := testData(50, 4, 3, 19)
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(data, Config{Machines: 24, Kmeans: parityCfg(3)})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("no error")
+		}
+		if !strings.Contains(err.Error(), "machine 2 ") || errors.Is(err, netcluster.ErrClosed) {
+			t.Fatalf("error %q does not name the first failing machine", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Run hung after a rank failed")
+	}
+}
+
+// TestRunGathersInChunks: assignments too large for one frame gather in
+// several rounds, with the same result as a single round.
+func TestRunGathersInChunks(t *testing.T) {
+	data := testData(400, 4, 3, 9)
+	cfg := Config{Machines: 3, Mode: ModeKnord, Kmeans: parityCfg(3)}
+	oneRound := gatherRows
+	defer func() { gatherRows = oneRound }()
+	for _, p := range []kmeans.Precision{kmeans.Precision64, kmeans.Precision32} {
+		want, err := RunPrecision(data, cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gatherRows = 7 // 20 rounds for the largest shard's 134 rows
+		got, err := RunPrecision(data, cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gatherRows = oneRound
+		requireBitIdentical(t, want, got, "chunked p="+p.String())
+		if got.SimSeconds != want.SimSeconds {
+			t.Fatalf("p=%v: chunked SimSeconds %g, one round %g", p, got.SimSeconds, want.SimSeconds)
+		}
 	}
 }

@@ -58,7 +58,7 @@ type taskCost struct {
 }
 
 // EngineOf holds one run's state, generic over the element type; the
-// distributed module embeds one (float64) engine per simulated machine.
+// distributed module runs one engine per machine.
 type EngineOf[T blas.Float] struct {
 	data *matrix.Mat[T]
 	cfg  Config

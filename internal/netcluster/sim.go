@@ -2,6 +2,7 @@ package netcluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -25,6 +26,10 @@ type SimGroup struct {
 	closeOnce sync.Once
 	closed    chan struct{}
 }
+
+// ErrClosed is what a SimTransport's Send and Recv return once its group
+// has been closed.
+var ErrClosed = errors.New("netcluster: sim transport closed")
 
 type simFrame struct {
 	f  *Frame
@@ -110,7 +115,7 @@ func (t *SimTransport) Send(to int, f *Frame) error {
 	case g.links[t.rank][to] <- simFrame{f: wire, at: at}:
 		return nil
 	case <-g.closed:
-		return fmt.Errorf("netcluster: sim transport closed")
+		return ErrClosed
 	}
 }
 
@@ -128,7 +133,7 @@ func (t *SimTransport) Recv(from int) (*Frame, error) {
 		g.mu.Unlock()
 		return sf.f, nil
 	case <-g.closed:
-		return nil, fmt.Errorf("netcluster: sim transport closed")
+		return nil, ErrClosed
 	}
 }
 

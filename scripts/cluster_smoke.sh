@@ -4,10 +4,11 @@
 #
 #   Part 1 (training): a 3-process knord run must produce the same
 #   result checksum (centroid bits + assignments + SSE bits + iteration
-#   count) as the single-process run of the same config, at both
-#   -precision 64 and 32. -threads 1 everywhere: the intra-machine
-#   thread pool claims tasks off a shared cursor, so only one thread
-#   per machine pins the floating-point fold order.
+#   count) and the same `simulated time:` line as the single-process
+#   run of the same config, at both -precision 64 and 32. -threads 1
+#   everywhere: the intra-machine thread pool claims tasks off a shared
+#   cursor, so only one thread per machine pins the floating-point fold
+#   order.
 #
 #   Part 2 (serving): knorserve as a coordinator plus two worker
 #   processes (-machines 3 -replicas 2), train + publish a model,
@@ -44,8 +45,11 @@ KNORD_ARGS="-gen-n 3000 -gen-d 8 -k 7 -iters 30 -threads 1 -machines 3"
 KNORD_PORT=18431
 
 for P in 64 32; do
-    solo=$("$TMP/knord" $KNORD_ARGS -precision "$P" | awk '/^checksum:/{print $2}')
+    "$TMP/knord" $KNORD_ARGS -precision "$P" >"$TMP/knord-solo.$P.log" || \
+        fail "knord solo p=$P failed"
+    solo=$(awk '/^checksum:/{print $2}' "$TMP/knord-solo.$P.log")
     [ -n "$solo" ] || fail "knord solo p=$P printed no checksum"
+    solo_sim=$(grep '^simulated time:' "$TMP/knord-solo.$P.log")
 
     "$TMP/knord" $KNORD_ARGS -precision "$P" -join 127.0.0.1:$KNORD_PORT \
         >"$TMP/knord-w1.$P.log" 2>&1 &
@@ -54,14 +58,18 @@ for P in 64 32; do
         >"$TMP/knord-w2.$P.log" 2>&1 &
     w2=$!
     PIDS="$PIDS $w1 $w2"
-    cluster=$("$TMP/knord" $KNORD_ARGS -precision "$P" -listen 127.0.0.1:$KNORD_PORT \
-        | awk '/^checksum:/{print $2}') || fail "knord coordinator p=$P failed"
+    "$TMP/knord" $KNORD_ARGS -precision "$P" -listen 127.0.0.1:$KNORD_PORT \
+        >"$TMP/knord-coord.$P.log" || fail "knord coordinator p=$P failed"
     wait "$w1" || fail "knord worker 1 p=$P failed: $(cat "$TMP/knord-w1.$P.log")"
     wait "$w2" || fail "knord worker 2 p=$P failed: $(cat "$TMP/knord-w2.$P.log")"
+    cluster=$(awk '/^checksum:/{print $2}' "$TMP/knord-coord.$P.log")
+    cluster_sim=$(grep '^simulated time:' "$TMP/knord-coord.$P.log")
 
     [ "$solo" = "$cluster" ] || \
         fail "knord p=$P checksum mismatch: solo=$solo 3-process=$cluster"
-    echo "cluster-smoke: knord p=$P 3-process checksum == solo ($solo)"
+    [ "$solo_sim" = "$cluster_sim" ] || \
+        fail "knord p=$P simulated time mismatch: solo '$solo_sim', 3-process '$cluster_sim'"
+    echo "cluster-smoke: knord p=$P 3-process checksum and $solo_sim == solo ($solo)"
 done
 
 # ---- Part 2: knorserve cluster failover + single-node parity ---------
