@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-precision bench-kernels test-noasm figs docs serve-loadtest io-smoke shardserve-smoke metrics-smoke chaos-smoke cluster-smoke bench-harness clean
+.PHONY: all build vet test race bench bench-precision bench-kernels test-noasm fuzz-smoke figs docs serve-loadtest io-smoke shardserve-smoke metrics-smoke chaos-smoke cluster-smoke bench-harness clean
 
 all: vet build test
 
@@ -43,6 +43,16 @@ bench-kernels:
 # out.
 test-noasm:
 	$(GO) test -tags noasm ./internal/blas/... ./internal/serve/... ./internal/shardserve/...
+
+# Short coverage-guided runs of the fuzz targets (mirrors CI; `go test`
+# alone only replays their seeds): the /v1/assign body decoder against
+# encoding/json, the netcluster frame codec, and the SIMD GEMM against
+# the pure-Go kernel. FUZZTIME is the budget per target.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzAssignBody$$' -fuzztime $(FUZZTIME) ./cmd/knorserve
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/netcluster
+	$(GO) test -run '^$$' -fuzz '^FuzzDgemmAsmParity$$' -fuzztime $(FUZZTIME) ./internal/blas
 
 # Full figure sweeps (smaller -quick variants; drop -quick for the
 # complete scale-reduced reproduction).

@@ -16,6 +16,19 @@ import (
 	"knor/internal/workload"
 )
 
+// assignReq and assignResp are the load-test client's view of a
+// /v1/assign request and reply.
+type assignReq struct {
+	Model string      `json:"model"`
+	Rows  [][]float64 `json:"rows"`
+}
+
+type assignResp struct {
+	Version  int       `json:"version"`
+	Clusters []int32   `json:"clusters"`
+	SqDists  []float64 `json:"sqdists"`
+}
+
 type loadTestOptions struct {
 	n, d, k    int
 	clients    int

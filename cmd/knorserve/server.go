@@ -519,10 +519,23 @@ func (s *server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// writeJSON answers status with v encoded as one JSON line. v is encoded
+// before the status is written, so a value JSON cannot carry becomes a
+// 500 with an error body, never a 200 with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		return
+	}
+	writeBody(w, status, append(b, '\n'))
+}
+
+// writeBody answers status with an encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(b)
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
@@ -671,28 +684,13 @@ func (s *server) register(name string, centroids *matrix.Dense) (*serve.Model, e
 	return snap, nil
 }
 
-type assignReq struct {
-	Model string      `json:"model"`
-	Rows  [][]float64 `json:"rows"`
-}
-
-type assignResp struct {
-	Version  int       `json:"version"`
-	Clusters []int32   `json:"clusters"`
-	SqDists  []float64 `json:"sqdists"`
-}
-
 func (s *server) handleAssign(w http.ResponseWriter, r *http.Request) {
-	var req assignReq
-	if !decodeBody(w, r, &req) {
+	req, ok := readRows(w, r)
+	if !ok {
 		return
 	}
-	rows, err := matrix.FromRows(req.Rows)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	as, err := s.batcher.AssignRows(req.Model, rows)
+	defer req.release()
+	as, err := s.batcher.AssignRows(req.model, &req.rows)
 	if err != nil {
 		if errors.Is(err, serve.ErrOverloaded) {
 			// Backpressure: the model's in-flight quota is exhausted.
@@ -712,37 +710,30 @@ func (s *server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	resp := assignResp{Clusters: make([]int32, len(as)), SqDists: make([]float64, len(as))}
-	if len(as) > 0 {
-		resp.Version = as[0].Version
-	}
-	for i, a := range as {
-		resp.Clusters[i] = a.Cluster
-		resp.SqDists[i] = a.SqDist
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-type observeReq struct {
-	Model string      `json:"model"`
-	Rows  [][]float64 `json:"rows"`
-}
-
-func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	var req observeReq
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	rows, err := matrix.FromRows(req.Rows)
+	// The body has been decoded, so its buffer takes the reply.
+	req.body.Reset()
+	reply, err := appendAssignReply(req.body.AvailableBuffer(), as)
 	if err != nil {
+		// The row's norm was finite, but a distance at the serving
+		// precision was not.
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	writeBody(w, http.StatusOK, reply)
+}
+
+func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
+	req, ok := readRows(w, r)
+	if !ok {
+		return
+	}
+	defer req.release()
+	rows := &req.rows
 	s.mu.Lock()
-	eng, ok := s.streams[req.Model]
+	eng, ok := s.streams[req.model]
 	s.mu.Unlock()
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown model %q", req.Model))
+		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown model %q", req.model))
 		return
 	}
 	drift, err := eng.Observe(rows)
@@ -751,17 +742,17 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	version := 0
-	if snap, ok := s.reg.Get(req.Model); ok {
+	if snap, ok := s.reg.Get(req.model); ok {
 		version = snap.Version
 	}
 	// Auto-publish once enough rows accumulated, so the query path
 	// keeps up with the stream without manual /publish calls.
 	if s.opts.publishEvery > 0 {
 		s.mu.Lock()
-		s.unfolded[req.Model] += rows.Rows()
-		doPublish := s.unfolded[req.Model] >= s.opts.publishEvery
+		s.unfolded[req.model] += rows.Rows()
+		doPublish := s.unfolded[req.model] >= s.opts.publishEvery
 		if doPublish {
-			s.unfolded[req.Model] = 0
+			s.unfolded[req.model] = 0
 		}
 		s.mu.Unlock()
 		if doPublish {

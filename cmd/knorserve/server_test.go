@@ -234,6 +234,30 @@ func TestE2EErrorPaths(t *testing.T) {
 			t.Errorf("observe dims: %d", code)
 		}
 	})
+	t.Run("overflowing rows", func(t *testing.T) {
+		// 1e200² overflows float64: the distances would be +Inf, which
+		// JSON cannot carry, and /v1/observe would fold the row in.
+		for _, ep := range []string{"/v1/assign", "/v1/observe"} {
+			code, body := postJSON(t, ts.URL+ep, `{"model":"e","rows":[[0,1],[1e200,1e200]]}`)
+			if code != http.StatusBadRequest {
+				t.Errorf("%s: %d, want 400", ep, code)
+			}
+			if msg, _ := body["error"].(string); !strings.Contains(msg, "row 1") {
+				t.Errorf("%s: error %q does not name row 1", ep, msg)
+			}
+		}
+	})
+	t.Run("null coordinate", func(t *testing.T) {
+		for _, ep := range []string{"/v1/assign", "/v1/observe"} {
+			code, body := postJSON(t, ts.URL+ep, `{"model":"e","rows":[[1,null]]}`)
+			if code != http.StatusBadRequest {
+				t.Errorf("%s: %d, want 400", ep, code)
+			}
+			if _, ok := body["error"]; !ok {
+				t.Errorf("%s: no error field: %v", ep, body)
+			}
+		}
+	})
 	t.Run("GET body is not required", func(t *testing.T) {
 		var models []modelInfo
 		if code := getJSON(t, ts.URL+"/v1/models", &models); code != http.StatusOK {

@@ -151,6 +151,9 @@ type BatcherOf[T blas.Float] struct {
 	rows     metrics.Counter
 	flushes  metrics.Counter
 	rejected metrics.Counter
+
+	// blocks recycles the m×k distance block (a *[]T) between flushes.
+	blocks sync.Pool
 }
 
 // Batcher is the float64 assignment path.
@@ -472,7 +475,7 @@ func (b *BatcherOf[T]) flush(batch []pendingReq[T]) {
 				telQuantFallbacks.Add(uint64(fallbacks))
 			}
 		} else {
-			assigns = assignBlock(a, total, snap, b.opts.Threads, b.opts.RawSqDist)
+			assigns = b.assignBlock(a, total, snap)
 		}
 		gemmEnd := time.Now()
 		telGemmSeconds.Observe(gemmEnd.Sub(gemmStart).Seconds())
@@ -493,13 +496,22 @@ func (b *BatcherOf[T]) flush(batch []pendingReq[T]) {
 
 // assignBlock computes nearest centroids for an m×d row block via the
 // ‖v‖² + ‖c‖² − 2·V·Cᵀ identity, reusing the snapshot's cached ‖c‖² at
-// the block's element type. raw skips the cancellation clamp (the
+// the block's element type. RawSqDist skips the cancellation clamp (the
 // sharded combiner clamps once, after the cross-shard min).
-func assignBlock[T blas.Float](a []T, m int, snap *Model, threads int, raw bool) []Assignment {
+func (b *BatcherOf[T]) assignBlock(a []T, m int, snap *Model) []Assignment {
 	k, d := snap.K(), snap.Dims()
 	cents, normsSq := centroidsOf[T](snap)
-	dist := make([]T, m*k)
-	blas.Dgemm(-2, a, m, d, cents.Data, k, 0, dist, threads)
+	block, _ := b.blocks.Get().(*[]T)
+	if block == nil || cap(*block) < m*k {
+		block = new([]T)
+		*block = make([]T, m*k)
+	}
+	dist := (*block)[:m*k]
+	// Accumulate into a zeroed block with beta = 1. Dgemm scales c by
+	// beta first, and beta = 0 would turn a ±Inf an earlier flush left
+	// in the block into NaN (0·Inf).
+	clear(dist)
+	blas.Dgemm(-2, a, m, d, cents.Data, k, 1, dist, b.opts.Threads)
 	an := make([]T, m)
 	blas.RowNormsSq(a, m, d, an)
 	out := make([]Assignment, m)
@@ -511,11 +523,12 @@ func assignBlock[T blas.Float](a []T, m int, snap *Model, threads int, raw bool)
 				best, bi = v, j
 			}
 		}
-		if best < 0 && !raw { // numerical cancellation
+		if best < 0 && !b.opts.RawSqDist { // numerical cancellation
 			best = 0
 		}
 		out[i] = Assignment{Cluster: int32(bi), SqDist: float64(best), Version: snap.Version}
 	}
+	b.blocks.Put(block)
 	return out
 }
 
