@@ -44,15 +44,14 @@ bench-kernels:
 test-noasm:
 	$(GO) test -tags noasm ./internal/blas/... ./internal/serve/... ./internal/shardserve/...
 
-# Short coverage-guided runs of the fuzz targets (mirrors CI; `go test`
+# 10 s coverage-guided runs of the fuzz targets (mirrors CI; `go test`
 # alone only replays their seeds): the /v1/assign body decoder against
 # encoding/json, the netcluster frame codec, and the SIMD GEMM against
-# the pure-Go kernel. FUZZTIME is the budget per target.
-FUZZTIME ?= 10s
+# the pure-Go kernel.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzAssignBody$$' -fuzztime $(FUZZTIME) ./cmd/knorserve
-	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/netcluster
-	$(GO) test -run '^$$' -fuzz '^FuzzDgemmAsmParity$$' -fuzztime $(FUZZTIME) ./internal/blas
+	$(GO) test -run '^$$' -fuzz '^FuzzAssignBody$$' -fuzztime 10s ./cmd/knorserve
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/netcluster
+	$(GO) test -run '^$$' -fuzz '^FuzzDgemmAsmParity$$' -fuzztime 10s ./internal/blas
 
 # Full figure sweeps (smaller -quick variants; drop -quick for the
 # complete scale-reduced reproduction).

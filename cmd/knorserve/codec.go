@@ -18,17 +18,14 @@ import (
 
 // The /v1/assign and /v1/observe bodies, {"model":"...","rows":[[...],
 // ...]}, are decoded by one validating pass over the body bytes that
-// appends every number straight into a row-major matrix; there is no
-// [][]float64 for matrix.FromRows to copy. The envelope follows the
-// json.Decoder the handlers used before: member names match exactly or
-// case-insensitively (bytes.EqualFold), unknown members are skipped but
+// appends every number straight into a row-major matrix. Member names
+// match as bytes.EqualFold does, unknown members are skipped but
 // syntax-checked, a repeated member replaces the earlier one, a
 // top-level null is an empty request, nesting is capped at
 // encoding/json's depth, and bytes after the first value are ignored.
-// A number passes the JSON grammar and then strconv.ParseFloat, which is
-// what encoding/json calls, so accepted rows are bit-identical to the
-// old decode. Two bodies it accepted are 400s now: a null coordinate,
-// which it read as 0, and a row whose squared norm overflows, whose
+// A number must pass the JSON grammar and is then parsed by
+// strconv.ParseFloat, as encoding/json parses it. A null coordinate is
+// rejected, and so is a row whose squared norm overflows, since its
 // distances could not be encoded into the reply.
 
 // maxDepth is encoding/json's nesting limit.
@@ -418,7 +415,7 @@ func digits(b []byte, i int) int {
 
 // text scans a string and returns its value. A string that has escapes
 // or non-ASCII bytes is unescaped by encoding/json, which also replaces
-// invalid UTF-8 as the old decode did.
+// invalid UTF-8 with U+FFFD.
 func (p *parser) text() ([]byte, error) {
 	lit, plain, err := p.str()
 	if err != nil {
