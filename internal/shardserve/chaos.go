@@ -214,17 +214,20 @@ func diffAssign(got, want []serve.Assignment) int {
 	return wrong
 }
 
-// settleReplication polls until every shard group holds at least
-// min(replicas, available) live copies — the healing loop has caught up
-// with the last membership transition — or the deadline passes.
-func settleReplication(sr *ShardRegistry, available int) error {
+// settleReplication polls until the healing loop has finished one
+// re-spread per membership transition so far and every shard group
+// holds at least min(replicas, available) live copies, or the deadline
+// passes. Live copies alone are not enough: a revived machine counts
+// as live again before its re-spread runs, and that re-spread racing
+// the next publish changes how many bytes move.
+func settleReplication(sr *ShardRegistry, available, transitions int) error {
 	want := sr.Replicas()
 	if available < want {
 		want = available
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ok := true
+		ok := sr.Rebalances() >= uint64(transitions)
 		for _, h := range sr.GroupHealth() {
 			if h.Live < want {
 				ok = false
@@ -324,7 +327,7 @@ func runChaosOf[T blas.Float](cfg ChaosConfig) (ChaosStats, error) {
 			stats.Events = append(stats.Events, ChaosEvent{Round: r, Machine: victim, Kill: true})
 		}
 		if cfg.Heal && cfg.Settle {
-			if err := settleReplication(sr, cfg.Machines-len(deadUntil)); err != nil {
+			if err := settleReplication(sr, cfg.Machines-len(deadUntil), stats.Kills+stats.Revives); err != nil {
 				return stats, err
 			}
 		}
@@ -360,7 +363,7 @@ func runChaosOf[T blas.Float](cfg ChaosConfig) (ChaosStats, error) {
 		}
 	}
 	if cfg.Heal && cfg.Settle {
-		if err := settleReplication(sr, cfg.Machines); err != nil {
+		if err := settleReplication(sr, cfg.Machines, stats.Kills+stats.Revives); err != nil {
 			return stats, err
 		}
 	}

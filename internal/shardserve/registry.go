@@ -56,6 +56,9 @@ type ShardRegistry struct {
 	// because a machine already holds the shard at that version don't
 	// count; 4-byte (float32) models move half the bytes of 8-byte ones.
 	spreadBytes atomic.Uint64
+	// rebalances counts finished healing re-spreads, one per membership
+	// transition the topology delivered.
+	rebalances atomic.Uint64
 
 	mu     sync.RWMutex
 	splits map[string]*split
@@ -300,6 +303,9 @@ func PublishOf[T blas.Float](sr *ShardRegistry, name string, centroids *matrix.M
 // healing re-spreads).
 func (sr *ShardRegistry) SpreadBytes() uint64 { return sr.spreadBytes.Load() }
 
+// Rebalances reports how many healing re-spreads have finished.
+func (sr *ShardRegistry) Rebalances() uint64 { return sr.rebalances.Load() }
+
 // Attach mirrors primary into the shard registries — current models
 // first, then every future publish via the registry's publish hook —
 // preserving primary's version numbers so shard snapshots answer with
@@ -471,6 +477,7 @@ func (sr *ShardRegistry) restoreLocked(name string, cm canonModel) error {
 func (sr *ShardRegistry) rebalance() {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
+	defer sr.rebalances.Add(1)
 	telRebalances.Inc()
 	telemetry.Log("shardserve", telemetry.SevInfo, "rebalance",
 		telemetry.F("models", len(sr.canon)), telemetry.F("live", len(sr.livePlacementLocked())))
