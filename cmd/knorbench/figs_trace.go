@@ -49,9 +49,7 @@ func traceExp(e env) {
 		if traceEvery > 0 {
 			tracer = telemetry.NewTracer(traceEvery, 16)
 		}
-		bat := serve.NewBatcherOf[float64](reg, serve.BatcherOptions{
-			MaxBatch: batch, Tracer: tracer,
-		})
+		bat := serve.NewBatcherOf[float64](reg, serve.BatcherOptions{Tracer: tracer})
 		defer bat.Close()
 		stopScrape := make(chan struct{})
 		scrapeDone := make(chan struct{})

@@ -117,7 +117,6 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		maxBatch     = flag.Int("batch", 1024, "max rows per blocked assignment flush")
 		threads      = flag.Int("threads", 0, "GEMM threads (0 = GOMAXPROCS)")
 		nodes        = flag.Int("nodes", 4, "simulated NUMA nodes to pin model shards across")
 		machines     = flag.Int("machines", 1, "shard each model's centroids across this many simulated machines (1 = single-node assigner)")
@@ -190,7 +189,7 @@ func main() {
 		fmt.Printf("knorserve worker rank %d/%d serving (coordinator %s)\n",
 			tr.Rank(), tr.Size(), cluster.Join)
 		err = shardserve.ServePeer(tr, shardserve.PeerOptions{
-			Batcher: serve.BatcherOptions{MaxBatch: *maxBatch, Threads: *threads},
+			Batcher: serve.BatcherOptions{Threads: *threads},
 		})
 		tr.Close()
 		if err != nil {
@@ -214,8 +213,7 @@ func main() {
 		fmt.Printf("knorserve cluster bootstrapped: %d processes\n", tr.Size())
 	}
 	srv, err := newServer(serverOptions{
-		transport: transport,
-		maxBatch:  *maxBatch, threads: *threads,
+		transport: transport, threads: *threads,
 		nodes: *nodes, machines: *machines, replicas: *replicas, quota: *quota, stateDir: *stateDir,
 		publishEvery: *publishEvery, precision: prec, quantize: *quantize,
 		retainVersions: *retainVers, retainAge: *retainAge,
@@ -250,8 +248,8 @@ func main() {
 	if *quantize != "" {
 		mode += "+" + *quantize
 	}
-	fmt.Printf("knorserve listening on %s (batch=%d threads=%d precision=%s machines=%d replicas=%d)\n",
-		ln.Addr(), *maxBatch, *threads, mode, *machines, *replicas)
+	fmt.Printf("knorserve listening on %s (threads=%d precision=%s machines=%d replicas=%d)\n",
+		ln.Addr(), *threads, mode, *machines, *replicas)
 	if err := serveUntil(ctx, ln, srv, *drainWait); err != nil {
 		fmt.Fprintln(os.Stderr, "knorserve:", err)
 		os.Exit(1)

@@ -24,11 +24,6 @@ import (
 )
 
 type serverOptions struct {
-	maxBatch int
-	// maxWait holds each batch open this long (serve.BatcherOptions.
-	// MaxWait). No flag sets it: the server flushes as soon as the
-	// flusher is free, and only tests set it, to park requests.
-	maxWait      time.Duration
 	threads      int
 	nodes        int
 	publishEvery int
@@ -136,8 +131,7 @@ func newServer(opts serverOptions) (*server, error) {
 		tracer = telemetry.NewTracer(opts.traceEvery, 16)
 	}
 	bopts := serve.BatcherOptions{
-		MaxBatch: opts.maxBatch, MaxWait: opts.maxWait, Threads: opts.threads,
-		ModelQuota: opts.quota, Tracer: tracer, Quantize: opts.quantize,
+		Threads: opts.threads, ModelQuota: opts.quota, Tracer: tracer, Quantize: opts.quantize,
 	}
 	var batcher serve.Assigner
 	var shards *shardserve.ShardRegistry
@@ -820,8 +814,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // nanToZero maps the latency recorder's empty-state NaN to 0: JSON has
-// no NaN, and encoding one after the 200 header is written would leave
-// the client an empty body.
+// no NaN, so writeJSON would fail to encode one and answer 500.
 func nanToZero(v float64) float64 {
 	if math.IsNaN(v) {
 		return 0

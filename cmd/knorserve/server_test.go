@@ -11,17 +11,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"knor/internal/kmeans"
+	"knor/internal/matrix"
+	"knor/internal/serve"
 )
 
 func newTestServer(t *testing.T, opts serverOptions) (*server, *httptest.Server) {
 	t.Helper()
-	if opts.maxBatch == 0 {
-		opts.maxBatch = 64
-	}
 	if opts.threads == 0 {
 		opts.threads = 1
 	}
@@ -38,6 +38,64 @@ func newTestServer(t *testing.T, opts serverOptions) (*server, *httptest.Server)
 		s.close()
 	})
 	return s, ts
+}
+
+// parkAssigns parks s's /assign flushes until the returned release is
+// called: it holds the write lock of every registry s's batchers read
+// (the shard registries on a sharded server), so a flush parks in
+// Registry.Get. It relies on the documented contract that OnPublish
+// hooks run under the registry lock: each registry gets a hook that
+// blocks on a channel, entered by a throwaway publish from a goroutine.
+// The registries are also released at cleanup if the test ends first.
+func parkAssigns(t *testing.T, s *server) (release func()) {
+	t.Helper()
+	regs := []*serve.Registry{s.reg}
+	if s.shards != nil {
+		regs = regs[:0]
+		for m := 0; m < s.shards.Machines(); m++ {
+			regs = append(regs, s.shards.Registry(m))
+		}
+	}
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	release = sync.OnceFunc(func() {
+		close(gate)
+		wg.Wait()
+	})
+	t.Cleanup(release)
+	for _, reg := range regs {
+		held := make(chan struct{}, 1)
+		reg.OnPublish(func(m *serve.Model) {
+			if m.Name == "park" {
+				held <- struct{}{}
+				<-gate
+			}
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := reg.Publish("park", matrix.NewDense(1, 1)); err != nil {
+				t.Errorf("park publish: %v", err)
+			}
+		}()
+		select {
+		case <-held:
+		case <-time.After(10 * time.Second):
+			t.Fatal("park hook never ran")
+		}
+	}
+	return release
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 func postJSON(t *testing.T, url, body string) (int, map[string]any) {

@@ -48,31 +48,37 @@ func TestE2EShardedAssign(t *testing.T) {
 	}
 }
 
-// TestE2EQuota429 parks one /assign behind a long batch window and
-// checks the next request for that model is answered 429 with a
-// Retry-After hint, on both the single-node and the sharded path.
+// TestE2EQuota429 parks one /assign's flush and checks the next
+// request for that model is answered 429 with a Retry-After hint, on
+// both the single-node and the sharded path.
 func TestE2EQuota429(t *testing.T) {
 	for _, machines := range []int{1, 3} {
-		s, ts := newTestServer(t, serverOptions{
-			maxBatch: 1 << 20, maxWait: time.Minute, quota: 1, machines: machines,
-		})
+		s, ts := newTestServer(t, serverOptions{quota: 1, machines: machines})
 		if code, body := postJSON(t, ts.URL+"/v1/models",
 			`{"name":"q","k":2,"rows":[[0,0],[0,1],[1,0],[1,1]]}`); code != http.StatusCreated {
 			t.Fatalf("create: %d %v", code, body)
 		}
+		release := parkAssigns(t, s)
 		parked := make(chan int, 1)
 		go func() {
-			code, _ := postJSON(t, ts.URL+"/v1/assign", `{"model":"q","rows":[[0.5,0.5]]}`)
-			parked <- code
+			resp, err := http.Post(ts.URL+"/v1/assign", "application/json",
+				strings.NewReader(`{"model":"q","rows":[[0.5,0.5]]}`))
+			if err != nil {
+				t.Errorf("parked request: %v", err)
+				parked <- 0
+				return
+			}
+			resp.Body.Close()
+			parked <- resp.StatusCode
 		}()
 		// Wait for the parked request to occupy the quota slot.
-		for deadline := time.Now().Add(5 * time.Second); s.batcher.Stats().Queued == 0; {
-			if time.Now().After(deadline) {
-				t.Fatal("parked request never queued")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		resp, err := http.Post(ts.URL+"/v1/assign", "application/json",
+		waitFor(t, "the parked request to be admitted", func() bool {
+			return s.batcher.InFlight()["q"] == 1
+		})
+		// An admitted request would block behind the parked flush, so
+		// the client gives up after 10 s instead of hanging the test.
+		client := &http.Client{Timeout: 10 * time.Second}
+		resp, err := client.Post(ts.URL+"/v1/assign", "application/json",
 			strings.NewReader(`{"model":"q","rows":[[0.5,0.5]]}`))
 		if err != nil {
 			t.Fatal(err)
@@ -84,8 +90,7 @@ func TestE2EQuota429(t *testing.T) {
 		if resp.Header.Get("Retry-After") == "" {
 			t.Errorf("machines=%d: 429 without Retry-After", machines)
 		}
-		// Drain the parked request so cleanup doesn't wait out MaxWait.
-		s.batcher.Flush()
+		release()
 		if code := <-parked; code != http.StatusOK {
 			t.Fatalf("machines=%d: parked request answered %d", machines, code)
 		}

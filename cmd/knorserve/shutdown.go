@@ -14,10 +14,7 @@ import (
 //  1. http.Server.Shutdown closes the listener and waits — up to
 //     drainWait — for every in-flight handler to return. An /assign
 //     request that was already accepted keeps blocking on its batch
-//     answer, so while Shutdown waits, a kicker goroutine calls the
-//     batcher's Flush every few milliseconds: queued rows are answered
-//     immediately even when a batch window (serverOptions.maxWait)
-//     holds them.
+//     answer, which the batcher's flusher posts as soon as it is free.
 //  2. s.close() then stops the batcher, which answers anything still
 //     queued before its flusher exits, and is a no-op if nothing is.
 //
@@ -36,23 +33,9 @@ func serveUntil(ctx context.Context, ln net.Listener, s *server, drainWait time.
 	// Flip readiness first: a load balancer polling /readyz stops
 	// routing here while the in-flight requests drain below.
 	s.draining.Store(true)
-	stopKick := make(chan struct{})
-	go func() {
-		t := time.NewTicker(5 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				s.batcher.Flush()
-			case <-stopKick:
-				return
-			}
-		}
-	}()
 	shCtx, cancel := context.WithTimeout(context.Background(), drainWait)
 	defer cancel()
 	err := hs.Shutdown(shCtx)
-	close(stopKick)
 	s.close()
 	if errors.Is(err, http.ErrServerClosed) {
 		err = nil

@@ -20,14 +20,7 @@ import (
 )
 
 func TestShutdownDropsNoAcceptedAssign(t *testing.T) {
-	// A huge MaxBatch and an effectively-infinite MaxWait guarantee
-	// every request is still queued (in flight, unanswered) when
-	// shutdown begins — even on a slow runner, no MaxWait flush can
-	// fire first — so the only way they complete is the drain path.
-	s, err := newServer(serverOptions{
-		maxBatch: 1 << 20, maxWait: time.Minute,
-		threads: 1, nodes: 1, publishEvery: 0,
-	})
+	s, err := newServer(serverOptions{threads: 1, nodes: 1, publishEvery: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +40,9 @@ func TestShutdownDropsNoAcceptedAssign(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- serveUntil(ctx, ln, s, 10*time.Second) }()
 	base := "http://" + ln.Addr().String()
+	// Parking the flushes keeps every request in flight, unanswered,
+	// until shutdown has begun, even on a slow runner.
+	release := parkAssigns(t, s)
 
 	const clients = 24
 	var inFlight sync.WaitGroup
@@ -71,19 +67,22 @@ func TestShutdownDropsNoAcceptedAssign(t *testing.T) {
 			}
 		}(c)
 	}
-	// Wait until every request row is queued inside the batcher (the
-	// one-minute MaxWait means none has been answered yet), then trigger
-	// shutdown mid-batch: all answers must come from the drain path.
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		if s.batcher.Stats().Queued == clients {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d rows queued", s.batcher.Stats().Queued)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Wait until every request is in flight inside the batcher (the
+	// parked flush means none has been answered yet), then trigger
+	// shutdown, and release the flushes only once the listener has
+	// closed: all answers come while Shutdown waits on the handlers.
+	waitFor(t, "every request to be in flight", func() bool {
+		return s.batcher.InFlight()["m"] == clients
+	})
 	cancel()
+	waitFor(t, "the listener to close", func() bool {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err == nil {
+			c.Close()
+		}
+		return err != nil
+	})
+	release()
 	inFlight.Wait()
 
 	if err := <-serveErr; err != nil {
@@ -97,7 +96,7 @@ func TestShutdownDropsNoAcceptedAssign(t *testing.T) {
 
 // TestShutdownIdle checks a quiet server exits promptly and cleanly.
 func TestShutdownIdle(t *testing.T) {
-	s, err := newServer(serverOptions{maxBatch: 16, threads: 1, nodes: 1})
+	s, err := newServer(serverOptions{threads: 1, nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

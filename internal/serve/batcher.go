@@ -9,7 +9,6 @@ import (
 	"knor/internal/blas"
 	"knor/internal/kmeans"
 	"knor/internal/matrix"
-	"knor/internal/metrics"
 	"knor/internal/telemetry"
 )
 
@@ -28,15 +27,6 @@ type Assignment struct {
 
 // BatcherOptions tune the assignment path.
 type BatcherOptions struct {
-	// MaxBatch flushes as soon as this many rows are queued (default
-	// 1024).
-	MaxBatch int
-	// MaxWait holds each batch open this long for more rows unless
-	// MaxBatch is reached first. 0 (the default) does not linger: the
-	// flusher drains the queue as soon as it is free, so requests that
-	// arrive during a flush coalesce into the next one and batches grow
-	// with offered load without a timer on the idle path.
-	MaxWait time.Duration
 	// Threads parallelises the blocked GEMM (default 1).
 	Threads int
 	// ModelQuota bounds in-flight requests per model (queued or being
@@ -44,21 +34,9 @@ type BatcherOptions struct {
 	// wrapping ErrOverloaded instead of growing the queue without
 	// bound. 0 means unlimited.
 	ModelQuota int
-	// RawSqDist reports raw squared distances from the GEMM identity,
-	// skipping the clamp of small negative cancellation noise to zero.
-	// The sharded fan-out path needs raw values so cross-shard min and
-	// tie-break ordering match the single-node scan exactly; the
-	// combiner applies the clamp once, after the global min.
-	RawSqDist bool
-	// Internal marks this batcher as a per-shard stage behind a fan-out
-	// edge: it reports the flush/GEMM/queue telemetry (its flushes are
-	// real GEMMs) but not the edge instruments (requests, rows,
-	// rejections, request latency, in-flight), which the edge owns — so
-	// a fanned-out request is never double-counted on /metrics.
-	Internal bool
 	// Tracer samples request traces at this batcher's edge (nil = no
-	// tracing). Ignored when Internal is set: a shard batcher records
-	// onto traces injected by the edge instead of sampling its own.
+	// tracing). Ignored when Shard is set: a shard batcher records onto
+	// traces injected by the edge instead of sampling its own.
 	Tracer *telemetry.Tracer
 	// Quantize selects the approximate scan for the float32 assign path:
 	// "int8" scans all k centroids with the int8×int8→int32 kernel and
@@ -67,22 +45,22 @@ type BatcherOptions struct {
 	// the exact GEMM scan. Only the float32 instantiation honours it;
 	// float64 batchers ignore the option.
 	Quantize string
-	// QuantRerank bounds the exact re-rank's candidate set per query row
-	// (default 32); rows whose quantization margin leaves more candidates
-	// fall back to a full exact scan, counted in
-	// knor_serve_quant_rerank_fallbacks_total.
-	QuantRerank int
+	// Shard marks a batcher that answers one shard group behind a
+	// fan-out edge. It reports raw squared distances from the GEMM
+	// identity, without clamping small negative cancellation noise to
+	// zero, so the cross-shard min and its tie-break match the
+	// single-node scan exactly (the combiner clamps once, after the
+	// global min). It reports the flush/GEMM/queue telemetry (its
+	// flushes are real GEMMs) but leaves the edge instruments (requests,
+	// rows, rejections, request latency, in-flight), the quota and
+	// trace sampling to the edge, so a fanned-out request is never
+	// double-counted on /metrics. Build it without a ModelQuota.
+	Shard bool
 }
 
 func (o BatcherOptions) withDefaults() BatcherOptions {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 1024
-	}
 	if o.Threads <= 0 {
 		o.Threads = 1
-	}
-	if o.QuantRerank <= 0 {
-		o.QuantRerank = 32
 	}
 	return o
 }
@@ -120,11 +98,10 @@ type batchAnswer struct {
 // ‖v‖²+‖c‖²−2·V·Cᵀ distance computation per flush. Callers block only
 // for their own answer; a background flusher drains the queue as soon
 // as it is free, taking every request that arrived during the previous
-// flush together (with MaxWait > 0 it first holds each batch open until
-// MaxBatch rows accumulate or MaxWait elapses after the first arrival).
-// All rows of a flush that target the same model are answered by a
-// single model snapshot, so a concurrent Publish never splits one batch
-// across versions.
+// flush together, so batches grow with offered load without a timer
+// on the idle path. All rows of a flush that target the same model are
+// answered by a single model snapshot, so a concurrent Publish never
+// splits one batch across versions.
 //
 // The element type selects the assign hot path's precision: float64
 // reproduces the pre-generic Batcher exactly; float32 runs the
@@ -134,7 +111,7 @@ type batchAnswer struct {
 type BatcherOf[T blas.Float] struct {
 	reg  *Registry
 	opts BatcherOptions
-	lat  *metrics.Latency
+	lat  *telemetry.Latency
 
 	mu       sync.Mutex
 	queue    []pendingReq[T]
@@ -143,14 +120,13 @@ type BatcherOf[T blas.Float] struct {
 	stopped  bool
 
 	work chan struct{} // queue went empty -> non-empty
-	full chan struct{} // queued reached MaxBatch
 	stop chan struct{}
 	done chan struct{}
 
-	requests metrics.Counter
-	rows     metrics.Counter
-	flushes  metrics.Counter
-	rejected metrics.Counter
+	requests telemetry.Counter
+	rows     telemetry.Counter
+	flushes  telemetry.Counter
+	rejected telemetry.Counter
 
 	// blocks recycles the m×k distance block (a *[]T) between flushes.
 	blocks sync.Pool
@@ -168,8 +144,8 @@ func NewBatcher(reg *Registry, opts BatcherOptions) *Batcher {
 // NewBatcherOf starts the assignment path at element type T over a
 // registry. Close it to stop the background flusher.
 func NewBatcherOf[T blas.Float](reg *Registry, opts BatcherOptions) *BatcherOf[T] {
-	lat := metrics.NewLatency(1)
-	if !opts.Internal {
+	lat := telemetry.NewLatency(1)
+	if !opts.Shard {
 		// The edge's reservoir (exact Stats quantiles) mirrors into the
 		// registered histogram so /metrics reports the same stream.
 		lat.Mirror(telRequestSeconds)
@@ -180,7 +156,6 @@ func NewBatcherOf[T blas.Float](reg *Registry, opts BatcherOptions) *BatcherOf[T
 		lat:      lat,
 		inflight: map[string]int{},
 		work:     make(chan struct{}, 1),
-		full:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -217,7 +192,7 @@ func (b *BatcherOf[T]) AssignBatchTraced(model string, rows *matrix.Mat[T], tr *
 		return nil, nil
 	}
 	owned := false
-	if tr == nil && !b.opts.Internal {
+	if tr == nil && !b.opts.Shard {
 		if tr = b.opts.Tracer.Sample(); tr != nil {
 			owned = true
 		}
@@ -232,7 +207,7 @@ func (b *BatcherOf[T]) AssignBatchTraced(model string, rows *matrix.Mat[T], tr *
 	if q := b.opts.ModelQuota; q > 0 && b.inflight[model] >= q {
 		b.mu.Unlock()
 		b.rejected.Inc()
-		if !b.opts.Internal {
+		if !b.opts.Shard {
 			telRejected.Inc()
 		}
 		return nil, fmt.Errorf("%w: model %q has %d requests in flight", ErrOverloaded, model, q)
@@ -241,17 +216,13 @@ func (b *BatcherOf[T]) AssignBatchTraced(model string, rows *matrix.Mat[T], tr *
 	wasEmpty := len(b.queue) == 0
 	b.queue = append(b.queue, req)
 	b.queued += rows.Rows()
-	isFull := b.queued >= b.opts.MaxBatch
 	b.mu.Unlock()
 	telQueueDepth.Add(float64(rows.Rows()))
-	if !b.opts.Internal {
+	if !b.opts.Shard {
 		telInflight.With(model).Inc()
 	}
 	if wasEmpty {
 		signal(b.work)
-	}
-	if isFull {
-		signal(b.full)
 	}
 	ans := <-req.out
 	b.mu.Lock()
@@ -259,7 +230,7 @@ func (b *BatcherOf[T]) AssignBatchTraced(model string, rows *matrix.Mat[T], tr *
 		delete(b.inflight, model)
 	}
 	b.mu.Unlock()
-	if !b.opts.Internal {
+	if !b.opts.Shard {
 		telInflight.With(model).Dec()
 	}
 	if ans.err != nil {
@@ -274,7 +245,7 @@ func (b *BatcherOf[T]) AssignBatchTraced(model string, rows *matrix.Mat[T], tr *
 	b.lat.Observe(time.Since(req.start).Seconds())
 	b.requests.Inc()
 	b.rows.Add(uint64(rows.Rows()))
-	if !b.opts.Internal {
+	if !b.opts.Shard {
 		telRequests.Inc()
 		telRows.Add(uint64(rows.Rows()))
 	}
@@ -342,59 +313,20 @@ func (b *BatcherOf[T]) Close() {
 	<-b.done
 }
 
-// flusher sleeps until work arrives and drains the queue. With
-// MaxWait == 0 it drains at once; otherwise it first gives the queue
-// MaxWait to fill (woken early when MaxBatch rows are reached). The
-// full channel only carries wakeups; the authoritative fullness check
-// is fullNow, so a token left over from a batch that drain already
-// picked up cannot cut the next batch's MaxWait window short.
+// flusher sleeps until work arrives and drains the queue. On stop it
+// drains once more, answering everything still queued, and returns.
 func (b *BatcherOf[T]) flusher() {
 	defer close(b.done)
 	for {
 		select {
 		case <-b.work:
+			b.drain()
 		case <-b.stop:
 			b.drain()
 			return
 		}
-		if b.opts.MaxWait > 0 && !b.fullNow() {
-			t := time.NewTimer(b.opts.MaxWait)
-		wait:
-			for {
-				select {
-				case <-b.full:
-					if b.fullNow() {
-						break wait
-					}
-					// Stale token: keep waiting out MaxWait.
-				case <-t.C:
-					break wait
-				case <-b.stop:
-					t.Stop()
-					b.drain()
-					return
-				}
-			}
-			t.Stop()
-		}
-		b.drain()
 	}
 }
-
-// fullNow reports whether MaxBatch rows are queued right now.
-func (b *BatcherOf[T]) fullNow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.queued >= b.opts.MaxBatch
-}
-
-// Flush synchronously answers everything queued right now, without
-// closing the batcher: new requests keep being accepted. The server's
-// shutdown path calls it repeatedly so in-flight handlers are answered
-// immediately instead of waiting out a positive MaxWait. Safe
-// concurrently with the background flusher — each queued request is
-// popped by exactly one drain.
-func (b *BatcherOf[T]) Flush() { b.drain() }
 
 // drain flushes until the queue is empty.
 func (b *BatcherOf[T]) drain() {
@@ -420,8 +352,7 @@ func (b *BatcherOf[T]) flush(batch []pendingReq[T]) {
 	flushStart := time.Now()
 	for i := range batch {
 		// Traced requests: the enqueue span is arrival → flush pickup
-		// (time queued behind the previous flush, plus the MaxWait
-		// window when one is set).
+		// (time queued behind the previous flush).
 		batch[i].trace.Span("enqueue", batch[i].start, flushStart)
 	}
 	groups := map[string][]int{}
@@ -468,8 +399,7 @@ func (b *BatcherOf[T]) flush(batch []pendingReq[T]) {
 		var assigns []Assignment
 		if a32, ok := any(a).([]float32); ok && b.opts.Quantize == "int8" {
 			var fallbacks int
-			assigns, fallbacks = assignBlockQuant(a32, total, snap,
-				b.opts.Threads, b.opts.RawSqDist, b.opts.QuantRerank)
+			assigns, fallbacks = assignBlockQuant(a32, total, snap, b.opts.Threads, b.opts.Shard)
 			telQuantRows.Add(uint64(total))
 			if fallbacks > 0 {
 				telQuantFallbacks.Add(uint64(fallbacks))
@@ -496,8 +426,8 @@ func (b *BatcherOf[T]) flush(batch []pendingReq[T]) {
 
 // assignBlock computes nearest centroids for an m×d row block via the
 // ‖v‖² + ‖c‖² − 2·V·Cᵀ identity, reusing the snapshot's cached ‖c‖² at
-// the block's element type. RawSqDist skips the cancellation clamp (the
-// sharded combiner clamps once, after the cross-shard min).
+// the block's element type. A Shard batcher skips the cancellation
+// clamp (the sharded combiner clamps once, after the cross-shard min).
 func (b *BatcherOf[T]) assignBlock(a []T, m int, snap *Model) []Assignment {
 	k, d := snap.K(), snap.Dims()
 	cents, normsSq := centroidsOf[T](snap)
@@ -523,7 +453,7 @@ func (b *BatcherOf[T]) assignBlock(a []T, m int, snap *Model) []Assignment {
 				best, bi = v, j
 			}
 		}
-		if best < 0 && !b.opts.RawSqDist { // numerical cancellation
+		if best < 0 && !b.opts.Shard { // numerical cancellation
 			best = 0
 		}
 		out[i] = Assignment{Cluster: int32(bi), SqDist: float64(best), Version: snap.Version}
@@ -541,8 +471,6 @@ type Assigner interface {
 	Stats() BatcherStats
 	// InFlight snapshots the per-model in-flight request counts.
 	InFlight() map[string]int
-	// Flush answers everything queued right now without closing.
-	Flush()
 	// Close rejects new requests, answers everything queued, and stops
 	// the flusher.
 	Close()

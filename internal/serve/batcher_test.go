@@ -42,7 +42,7 @@ func bruteNearest(row []float64, c *matrix.Dense) (int32, float64) {
 func TestBatcherMatchesBruteForce(t *testing.T) {
 	reg := NewRegistry(4)
 	snap, data := testModel(t, reg, "m", 8, 6, 3)
-	b := NewBatcher(reg, BatcherOptions{MaxBatch: 64, MaxWait: time.Millisecond})
+	b := NewBatcher(reg, BatcherOptions{})
 	defer b.Close()
 	q := workload.NewQueryStream(workload.Spec{
 		Kind: workload.NaturalClusters, N: 0, D: 6, Clusters: 8, Spread: 0.05, Seed: 3,
@@ -70,7 +70,7 @@ func TestBatcherMatchesBruteForce(t *testing.T) {
 func TestBatcherConcurrentRequestsCoalesce(t *testing.T) {
 	reg := NewRegistry(4)
 	snap, _ := testModel(t, reg, "m", 5, 4, 7)
-	b := NewBatcher(reg, BatcherOptions{MaxBatch: 256, MaxWait: 2 * time.Millisecond})
+	b := NewBatcher(reg, BatcherOptions{})
 	defer b.Close()
 	q := workload.NewQueryStream(workload.Spec{
 		Kind: workload.NaturalClusters, D: 4, Clusters: 5, Spread: 0.05, Seed: 7,
@@ -126,7 +126,7 @@ func (*mismatchError) Error() string { return "batched assignment disagrees with
 func TestBatcherErrors(t *testing.T) {
 	reg := NewRegistry(2)
 	testModel(t, reg, "m", 3, 4, 1)
-	b := NewBatcher(reg, BatcherOptions{MaxWait: time.Millisecond})
+	b := NewBatcher(reg, BatcherOptions{})
 	if _, err := b.Assign("nope", []float64{1, 2, 3, 4}); err == nil {
 		t.Fatal("unknown model accepted")
 	}
@@ -178,6 +178,36 @@ func TestBatcherIdleNoLinger(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// parkFirstFlush takes reg's write lock and sends one request,
+// returning once a flush has taken it off the queue and parked in
+// reg.Get: the request stays in flight until answered, which the held
+// lock prevents. The returned function releases the lock; so does
+// cleanup if the test ends first. Cleanups run last in, first out, so
+// register the batcher's Close with t.Cleanup before parking: the
+// parked flush, and with it Close, can then finish.
+func parkFirstFlush(t *testing.T, b *Batcher, reg *Registry, send func()) (release func()) {
+	t.Helper()
+	reg.mu.Lock()
+	release = sync.OnceFunc(reg.mu.Unlock)
+	t.Cleanup(release)
+	send()
+	waitFor(t, "the first flush to park", func() bool {
+		return b.InFlight()["m"] == 1 && b.Stats().Queued == 0
+	})
+	return release
+}
+
 // TestBatcherCoalescesDuringFlush checks natural batching: requests
 // that queue while a flush is running are all taken by the next flush.
 // Holding the registry's write lock parks the first flush inside
@@ -186,15 +216,8 @@ func TestBatcherCoalescesDuringFlush(t *testing.T) {
 	reg := NewRegistry(2)
 	snap, _ := testModel(t, reg, "m", 6, 4, 11)
 	b := NewBatcher(reg, BatcherOptions{})
-	defer b.Close()
-	q := workload.NewQueryStream(workload.Spec{
-		Kind: workload.NaturalClusters, D: 4, Clusters: 6, Spread: 0.05, Seed: 11,
-	}, 3)
-	const later = 8
-	rows := make([]*matrix.Dense, 1+later)
-	for i := range rows {
-		rows[i] = q.Next(1)
-	}
+	t.Cleanup(b.Close)
+	rows := queryRows(9, 11)
 	got := make([][]Assignment, len(rows))
 	errs := make([]error, len(rows))
 	var wg sync.WaitGroup
@@ -205,38 +228,90 @@ func TestBatcherCoalescesDuringFlush(t *testing.T) {
 			got[i], errs[i] = b.AssignBatch("m", rows[i])
 		}()
 	}
-	// poll waits for cond; on timeout it releases the lock first so the
-	// parked flush, and with it Close, can finish.
-	poll := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				reg.mu.Unlock()
-				t.Fatalf("timed out waiting for %s: %+v", what, b.Stats())
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
 
-	reg.mu.Lock()
-	send(0)
-	// The first request stays in flight until answered, which the held
-	// lock prevents; once the queue is empty again the flusher has taken
-	// it and is blocked in reg.Get.
-	poll("first flush to start", func() bool {
-		return b.InFlight()["m"] == 1 && b.Stats().Queued == 0
-	})
-	for i := 1; i <= later; i++ {
+	release := parkFirstFlush(t, b, reg, func() { send(0) })
+	for i := 1; i < len(rows); i++ {
 		send(i)
 	}
-	poll("requests to queue behind the flush", func() bool { return b.Stats().Queued == later })
-	reg.mu.Unlock()
+	waitFor(t, "requests to queue behind the flush", func() bool { return b.Stats().Queued == len(rows)-1 })
+	release()
 	wg.Wait()
 	// Close waits for the flusher, so the flush counter (bumped after
 	// answers are posted) is final.
 	b.Close()
 
+	checkBrute(t, rows, got, errs, snap)
+	if st := b.Stats(); st.Flushes != 2 {
+		t.Fatalf("flushes = %d, want 2 (first request alone, then the %d queued behind it together)", st.Flushes, len(rows)-1)
+	}
+}
+
+// TestBatcherCloseAnswersQueued checks Close's contract: requests
+// queued behind a running flush when Close is called are all answered,
+// and Close returns only after they are.
+func TestBatcherCloseAnswersQueued(t *testing.T) {
+	reg := NewRegistry(2)
+	snap, _ := testModel(t, reg, "m", 6, 4, 13)
+	b := NewBatcher(reg, BatcherOptions{})
+	t.Cleanup(b.Close)
+	rows := queryRows(7, 13)
+	got := make([][]Assignment, len(rows))
+	errs := make([]error, len(rows))
+	var wg sync.WaitGroup
+	send := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = b.AssignBatch("m", rows[i])
+		}()
+	}
+
+	release := parkFirstFlush(t, b, reg, func() { send(0) })
+	for i := 1; i < len(rows); i++ {
+		send(i)
+	}
+	waitFor(t, "requests to queue behind the flush", func() bool { return b.Stats().Queued == len(rows)-1 })
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to stop accepting requests", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.stopped
+	})
+	select {
+	case <-closed:
+		t.Fatal("Close returned while requests were still queued")
+	default:
+	}
+	release()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	wg.Wait()
+	checkBrute(t, rows, got, errs, snap)
+}
+
+// queryRows draws n one-row queries near a 6-cluster, d=4 model.
+func queryRows(n int, seed int64) []*matrix.Dense {
+	q := workload.NewQueryStream(workload.Spec{
+		Kind: workload.NaturalClusters, D: 4, Clusters: 6, Spread: 0.05, Seed: seed,
+	}, 3)
+	rows := make([]*matrix.Dense, n)
+	for i := range rows {
+		rows[i] = q.Next(1)
+	}
+	return rows
+}
+
+// checkBrute fails unless every one-row request was answered with
+// bruteNearest's cluster and distance.
+func checkBrute(t *testing.T, rows []*matrix.Dense, got [][]Assignment, errs []error, snap *Model) {
+	t.Helper()
 	for i := range rows {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
@@ -245,8 +320,5 @@ func TestBatcherCoalescesDuringFlush(t *testing.T) {
 		if got[i][0].Cluster != wantC || math.Abs(got[i][0].SqDist-wantD) > 1e-9*(1+wantD) {
 			t.Fatalf("request %d: got %+v, want cluster %d sqdist %v", i, got[i][0], wantC, wantD)
 		}
-	}
-	if st := b.Stats(); st.Flushes != 2 {
-		t.Fatalf("flushes = %d, want 2 (first request alone, then the %d queued behind it together)", st.Flushes, later)
 	}
 }

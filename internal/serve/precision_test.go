@@ -33,9 +33,9 @@ func precisionFixture(t *testing.T) (*Registry, *matrix.Dense) {
 
 func TestBatcher32MatchesFloat64(t *testing.T) {
 	reg, queries := precisionFixture(t)
-	b64 := NewBatcher(reg, BatcherOptions{MaxBatch: 64})
+	b64 := NewBatcher(reg, BatcherOptions{})
 	defer b64.Close()
-	b32 := NewBatcherOf[float32](reg, BatcherOptions{MaxBatch: 64})
+	b32 := NewBatcherOf[float32](reg, BatcherOptions{})
 	defer b32.Close()
 
 	want, err := b64.AssignBatch("m", queries)
@@ -69,7 +69,7 @@ func TestBatcher32MatchesFloat64(t *testing.T) {
 func TestAssignRowsConverts(t *testing.T) {
 	reg, queries := precisionFixture(t)
 	for _, p := range []kmeans.Precision{kmeans.Precision64, kmeans.Precision32} {
-		a := NewAssigner(reg, BatcherOptions{MaxBatch: 32}, p)
+		a := NewAssigner(reg, BatcherOptions{}, p)
 		as, err := a.AssignRows("m", queries)
 		if err != nil {
 			t.Fatalf("precision %v: %v", p, err)
@@ -92,7 +92,7 @@ func TestAssignRowsConverts(t *testing.T) {
 // per-request like the float64 path.
 func TestBatcher32DimMismatch(t *testing.T) {
 	reg, _ := precisionFixture(t)
-	b32 := NewBatcherOf[float32](reg, BatcherOptions{MaxBatch: 4})
+	b32 := NewBatcherOf[float32](reg, BatcherOptions{})
 	defer b32.Close()
 	bad := matrix.New[float32](1, 7)
 	if _, err := b32.AssignBatch("m", bad); err == nil {
@@ -118,7 +118,7 @@ func benchAssign[T interface{ float32 | float64 }](b *testing.B, threads int) {
 		Kind: workload.UniformMultivariate, N: 4096, D: 16, Seed: 2,
 	})
 	queries := matrix.Convert[T](queries64)
-	bt := NewBatcherOf[T](reg, BatcherOptions{MaxBatch: 4096, Threads: threads})
+	bt := NewBatcherOf[T](reg, BatcherOptions{Threads: threads})
 	defer bt.Close()
 	b.SetBytes(int64(queries.Rows() * queries.RowBytes()))
 	b.ResetTimer()

@@ -40,6 +40,11 @@ import (
 
 const eps32 = 1.0 / (1 << 24) // float32 unit roundoff
 
+// rerankCap bounds the exact re-rank's candidate set per query row; a
+// row whose margin check leaves more candidates falls back to a full
+// exact scan, counted in knor_serve_quant_rerank_fallbacks_total.
+const rerankCap = 32
+
 // quantOf returns the snapshot's int8-quantized centroid mirror,
 // building it (and the float32 mirror it derives from) on first use.
 func quantOf(m *Model) *blas.QuantizedRows {
@@ -51,11 +56,11 @@ func quantOf(m *Model) *blas.QuantizedRows {
 }
 
 // assignBlockQuant is the quantized counterpart of assignBlock for the
-// float32 path. rerankCap bounds the exact re-rank's candidate set; a
-// row whose margin check leaves more candidates than that falls back to
-// a full exact scan of its distance row (counted in the returned
-// fallback total and exported as knor_serve_quant_rerank_fallbacks_total).
-func assignBlockQuant(a []float32, m int, snap *Model, threads int, raw bool, rerankCap int) ([]Assignment, int) {
+// float32 path. A row whose margin check leaves more than rerankCap
+// candidates falls back to a full exact scan of its distance row,
+// counted in the returned fallback total. raw skips the cancellation
+// clamp, as a Shard batcher does.
+func assignBlockQuant(a []float32, m int, snap *Model, threads int, raw bool) ([]Assignment, int) {
 	k, d := snap.K(), snap.Dims()
 	cents, normsSq := centroidsOf[float32](snap)
 	q8 := quantOf(snap)

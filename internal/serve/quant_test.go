@@ -75,8 +75,8 @@ func assertSame(t *testing.T, got, want []Assignment) {
 func TestQuantAssignBitIdenticalToExact(t *testing.T) {
 	for _, seed := range []int64{3, 7, 11} {
 		reg, q := quantFixture(t, seed)
-		exact := NewBatcherOf[float32](reg, BatcherOptions{MaxBatch: 512})
-		quant := NewBatcherOf[float32](reg, BatcherOptions{MaxBatch: 512, Quantize: "int8"})
+		exact := NewBatcherOf[float32](reg, BatcherOptions{})
+		quant := NewBatcherOf[float32](reg, BatcherOptions{Quantize: "int8"})
 		want, err := exact.AssignBatch("m", q)
 		if err != nil {
 			t.Fatal(err)
@@ -91,15 +91,35 @@ func TestQuantAssignBitIdenticalToExact(t *testing.T) {
 	}
 }
 
-// TestQuantRerankFallback forces the re-rank cap below the candidate
-// count (three bitwise-tied centroids plus a near-duplicate guarantee
-// ≥4 candidates for queries aimed at them) and checks the full-scan
-// fallback both fires (telemetry) and still answers bit-identically.
+// TestQuantRerankFallback publishes a model with rerankCap+1 bitwise
+// identical rows. Every tie at the minimum is a candidate, so queries
+// aimed at the tied rows overflow the re-rank cap; the full-scan
+// fallback must both fire (telemetry) and still answer bit-identically,
+// lowest-index tie-break included.
 func TestQuantRerankFallback(t *testing.T) {
-	reg, q := quantFixture(t, 5)
-	exact := NewBatcherOf[float32](reg, BatcherOptions{MaxBatch: 512})
+	rng := rand.New(rand.NewSource(5))
+	const k, d, tied = 48, 12, rerankCap + 1
+	c := matrix.New[float32](k, d)
+	for i := range c.Data {
+		c.Data[i] = float32(rng.NormFloat64())
+	}
+	for j := 4; j < 4+tied-1; j++ { // rows 3 .. 3+tied-1 are one row
+		copy(c.Data[j*d:(j+1)*d], c.Data[3*d:4*d])
+	}
+	reg := NewRegistry(1)
+	if _, err := PublishOf(reg, "m", c); err != nil {
+		t.Fatal(err)
+	}
+	q := matrix.New[float32](64, d)
+	for i := 0; i < q.Rows(); i++ {
+		for p := 0; p < d; p++ {
+			q.Data[i*d+p] = c.Data[3*d+p] + float32(rng.NormFloat64())*1e-3
+		}
+	}
+	copy(q.Data[:d], c.Data[3*d:4*d])
+	exact := NewBatcherOf[float32](reg, BatcherOptions{})
 	defer exact.Close()
-	quant := NewBatcherOf[float32](reg, BatcherOptions{MaxBatch: 512, Quantize: "int8", QuantRerank: 2})
+	quant := NewBatcherOf[float32](reg, BatcherOptions{Quantize: "int8"})
 	defer quant.Close()
 
 	before := telQuantFallbacks.Load()
@@ -113,17 +133,17 @@ func TestQuantRerankFallback(t *testing.T) {
 	}
 	assertSame(t, got, want)
 	if telQuantFallbacks.Load() == before {
-		t.Fatal("rerank cap 2 never overflowed on tied centroids")
+		t.Fatalf("%d tied centroids never overflowed the re-rank cap of %d", tied, rerankCap)
 	}
 }
 
-// TestQuantRawSqDist checks the quantized path honors RawSqDist (no
-// zero clamp) identically to the exact path.
+// TestQuantRawSqDist checks a quantized Shard batcher reports raw
+// distances (no zero clamp) identically to the exact path.
 func TestQuantRawSqDist(t *testing.T) {
 	reg, q := quantFixture(t, 9)
-	exact := NewBatcherOf[float32](reg, BatcherOptions{MaxBatch: 512, RawSqDist: true})
+	exact := NewBatcherOf[float32](reg, BatcherOptions{Shard: true})
 	defer exact.Close()
-	quant := NewBatcherOf[float32](reg, BatcherOptions{MaxBatch: 512, Quantize: "int8", RawSqDist: true})
+	quant := NewBatcherOf[float32](reg, BatcherOptions{Quantize: "int8", Shard: true})
 	defer quant.Close()
 	want, err := exact.AssignBatch("m", q)
 	if err != nil {
@@ -149,9 +169,9 @@ func TestQuantIgnoredOnFloat64(t *testing.T) {
 	q := workload.Generate(workload.Spec{
 		Kind: workload.UniformMultivariate, N: 50, D: 6, Seed: 2,
 	})
-	exact := NewBatcher(reg, BatcherOptions{MaxBatch: 64})
+	exact := NewBatcher(reg, BatcherOptions{})
 	defer exact.Close()
-	quant := NewBatcher(reg, BatcherOptions{MaxBatch: 64, Quantize: "int8"})
+	quant := NewBatcher(reg, BatcherOptions{Quantize: "int8"})
 	defer quant.Close()
 	want, err := exact.AssignBatch("m", q)
 	if err != nil {

@@ -9,10 +9,11 @@ import (
 	"knor/internal/matrix"
 )
 
-// TestBatcherModelQuota parks a request behind a long MaxWait and
-// checks backpressure: the next request for the same model fails fast
-// with ErrOverloaded, other models are unaffected, and the quota
-// releases once the parked request is answered.
+// TestBatcherModelQuota parks a request's flush on the registry lock
+// and checks backpressure: the next request for the same model fails
+// fast with ErrOverloaded before any GEMM runs, another model is
+// admitted while the first is parked, and the quota releases once the
+// parked request is answered.
 func TestBatcherModelQuota(t *testing.T) {
 	reg := NewRegistry(1)
 	cents := matrix.NewDense(3, 2)
@@ -25,78 +26,63 @@ func TestBatcherModelQuota(t *testing.T) {
 	if _, err := reg.Publish("other", cents); err != nil {
 		t.Fatal(err)
 	}
-	b := NewBatcher(reg, BatcherOptions{MaxWait: time.Minute, ModelQuota: 1})
-	defer b.Close()
+	b := NewBatcher(reg, BatcherOptions{ModelQuota: 1})
+	t.Cleanup(b.Close)
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := b.AssignBatch("m", matrix.NewDense(1, 2)); err != nil {
-			t.Errorf("parked request failed: %v", err)
-		}
-	}()
-	for deadline := time.Now().Add(5 * time.Second); b.Stats().Queued == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("parked request never queued")
-		}
-		time.Sleep(time.Millisecond)
+	answered := make(chan error, 2)
+	assign := func(model string) {
+		_, err := b.AssignBatch(model, matrix.NewDense(1, 2))
+		answered <- err
 	}
+	release := parkFirstFlush(t, b, reg, func() { go assign("m") })
 
-	if _, err := b.AssignBatch("m", matrix.NewDense(1, 2)); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("expected ErrOverloaded, got %v", err)
-	}
-	if st := b.Stats(); st.Rejected != 1 {
-		t.Fatalf("rejected counter %d, want 1", st.Rejected)
-	}
-
-	// A different model still gets in (its own quota budget).
-	otherDone := make(chan error, 1)
-	go func() {
-		_, err := b.AssignBatch("other", matrix.NewDense(1, 2))
-		otherDone <- err
-	}()
-	deadline := time.After(10 * time.Second)
-	for {
-		b.Flush()
-		select {
-		case err := <-otherDone:
-			if err != nil {
-				t.Fatalf("other model rejected: %v", err)
-			}
-		case <-deadline:
-			t.Fatal("other model never answered")
-		case <-time.After(time.Millisecond):
-			continue
-		}
-		break
-	}
-	wg.Wait()
-
-	// Quota released after the answer: m accepts again (and Flush
-	// drains it without waiting out MaxWait).
-	redo := make(chan error, 1)
+	// Refused at once: an admitted request would block behind the
+	// parked flush.
+	second := make(chan error, 1)
 	go func() {
 		_, err := b.AssignBatch("m", matrix.NewDense(1, 2))
-		redo <- err
+		second <- err
 	}()
-	deadline = time.After(10 * time.Second)
-	for {
-		b.Flush()
-		select {
-		case err := <-redo:
-			if err != nil {
-				t.Fatalf("post-drain request failed: %v", err)
-			}
-		case <-deadline:
-			t.Fatal("post-drain request never answered")
-		case <-time.After(time.Millisecond):
-			continue
+	select {
+	case err := <-second:
+		if !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("expected ErrOverloaded, got %v", err)
 		}
-		break
+	case <-time.After(10 * time.Second):
+		t.Fatal("second request for m was admitted behind the parked flush, not refused")
 	}
-	if st := b.Stats(); st.Requests != 3 {
-		t.Errorf("requests counter %d, want 3", st.Requests)
+	if st := b.Stats(); st.Rejected != 1 || st.Flushes != 0 {
+		t.Fatalf("after the rejection: rejected %d (want 1), flushes %d (want 0: no GEMM yet)",
+			st.Rejected, st.Flushes)
+	}
+
+	// A different model is admitted (its own quota budget) while m's
+	// request is parked.
+	go assign("other")
+	waitFor(t, "the other model's request to be admitted", func() bool {
+		return b.InFlight()["other"] == 1
+	})
+	if st := b.Stats(); st.Rejected != 1 {
+		t.Fatalf("other model rejected: rejected counter %d, want 1", st.Rejected)
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-answered:
+			if err != nil {
+				t.Fatalf("admitted request failed: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("admitted requests never answered")
+		}
+	}
+
+	// Quota released after the answer: m accepts again.
+	if _, err := b.AssignBatch("m", matrix.NewDense(1, 2)); err != nil {
+		t.Fatalf("post-drain request failed: %v", err)
+	}
+	if st := b.Stats(); st.Requests != 3 || st.Rejected != 1 {
+		t.Errorf("requests %d (want 3), rejected %d (want 1)", st.Requests, st.Rejected)
 	}
 }
 

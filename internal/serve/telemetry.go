@@ -8,7 +8,7 @@ import "knor/internal/telemetry"
 // instance-local; these aggregate across every batcher in the process.
 //
 // In sharded deployments the per-shard batchers run with
-// BatcherOptions.Internal set: they contribute to the flush/GEMM/queue
+// BatcherOptions.Shard set: they contribute to the flush/GEMM/queue
 // instruments (their flushes are real GEMMs) but not to the edge
 // instruments (requests, rows, rejections, request latency, in-flight),
 // which the fan-out edge owns — so a request is never double-counted.

@@ -23,7 +23,7 @@ func benchBatcher(b *testing.B) (*Batcher, *matrix.Dense) {
 	if _, err := reg.Publish("bench", cents); err != nil {
 		b.Fatal(err)
 	}
-	bat := NewBatcher(reg, BatcherOptions{MaxBatch: 4, MaxWait: 0})
+	bat := NewBatcher(reg, BatcherOptions{})
 	b.Cleanup(bat.Close)
 	rows := matrix.NewDense(4, d)
 	for i := range rows.Data {

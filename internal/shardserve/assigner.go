@@ -11,7 +11,6 @@ import (
 	"knor/internal/cluster"
 	"knor/internal/kmeans"
 	"knor/internal/matrix"
-	"knor/internal/metrics"
 	"knor/internal/serve"
 	"knor/internal/telemetry"
 )
@@ -58,42 +57,43 @@ type AssignerOf[T blas.Float] struct {
 	sr   *ShardRegistry
 	bats []*serve.BatcherOf[T]
 	opts serve.BatcherOptions
-	lat  *metrics.Latency
+	lat  *telemetry.Latency
 
 	mu       sync.Mutex
 	inflight map[string]int
 
-	requests  metrics.Counter
-	rows      metrics.Counter
-	rejected  metrics.Counter
-	failovers metrics.Counter
+	requests  telemetry.Counter
+	rows      telemetry.Counter
+	rejected  telemetry.Counter
+	failovers telemetry.Counter
 }
 
 // NewAssignerOf starts the sharded assignment path at element type T.
-// opts applies per shard batcher (MaxBatch, MaxWait, Threads);
+// Threads and Quantize apply per shard batcher (see shardOptions).
 // ModelQuota is enforced here at the fan-out edge — a rejected request
-// must burn zero GEMM time on ANY shard — so the per-shard batchers
-// run unlimited, and RawSqDist is forced on for the shards (the
-// combiner clamps). The shard batchers also run Internal: the edge
-// instruments (request counts, latency, in-flight) are reported here,
-// once per request, never per shard. Close stops every shard batcher.
+// must burn zero GEMM time on ANY shard — and the edge instruments
+// (request counts, latency, in-flight) are reported here, once per
+// request, never per shard. Close stops every shard batcher.
 func NewAssignerOf[T blas.Float](sr *ShardRegistry, opts serve.BatcherOptions) *AssignerOf[T] {
-	shardOpts := opts
-	shardOpts.RawSqDist = true
-	shardOpts.ModelQuota = 0
-	shardOpts.Internal = true
-	shardOpts.Tracer = nil
 	a := &AssignerOf[T]{
 		sr:       sr,
 		opts:     opts,
-		lat:      metrics.NewLatency(1).Mirror(telRequestSeconds),
+		lat:      telemetry.NewLatency(1).Mirror(telRequestSeconds),
 		inflight: map[string]int{},
 	}
 	a.bats = make([]*serve.BatcherOf[T], sr.Machines())
 	for i := range a.bats {
-		a.bats[i] = serve.NewBatcherOf[T](sr.Registry(i), shardOpts)
+		a.bats[i] = serve.NewBatcherOf[T](sr.Registry(i), shardOptions(opts))
 	}
 	return a
+}
+
+// shardOptions derives a shard batcher's options from the edge's: the
+// same GEMM threads and scan, marked Shard, with no quota or tracer
+// (the edge owns both). In-process and remote replicas build their
+// batchers from it, so each computes exactly what the other would.
+func shardOptions(edge serve.BatcherOptions) serve.BatcherOptions {
+	return serve.BatcherOptions{Threads: edge.Threads, Quantize: edge.Quantize, Shard: true}
 }
 
 // NewAssigner builds the sharded assignment path at the requested
@@ -394,13 +394,6 @@ func (a *AssignerOf[T]) InFlight() map[string]int {
 		out[m] = n
 	}
 	return out
-}
-
-// Flush synchronously answers everything queued on every shard.
-func (a *AssignerOf[T]) Flush() {
-	for _, b := range a.bats {
-		b.Flush()
-	}
 }
 
 // Close rejects new requests and stops every shard batcher.

@@ -19,82 +19,126 @@ func TestAssignerUnknownModel(t *testing.T) {
 	}
 }
 
-// TestAssignerQuota parks a request behind a long MaxWait and checks
-// the fan-out edge rejects the next one with ErrOverloaded before any
-// shard burns GEMM time, then recovers once the first drains.
+// parkRegistries holds the write lock of every registry in regs, so a
+// flush on any of them parks in Registry.Get, and returns the function
+// that releases them. It relies on the documented contract that
+// OnPublish hooks run under the registry lock: each registry gets a
+// hook that blocks on a channel, entered by a throwaway publish from a
+// goroutine. The registries are also released at cleanup if the test
+// ends first; register the assigner's Close with t.Cleanup before
+// parking, so the parked flushes can finish before it runs.
+func parkRegistries(t *testing.T, regs ...*serve.Registry) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	release = sync.OnceFunc(func() {
+		close(gate)
+		wg.Wait()
+	})
+	t.Cleanup(release)
+	for _, reg := range regs {
+		held := make(chan struct{}, 1)
+		reg.OnPublish(func(m *serve.Model) {
+			if m.Name == "park" {
+				held <- struct{}{}
+				<-gate
+			}
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := reg.Publish("park", matrix.NewDense(1, 1)); err != nil {
+				t.Errorf("park publish: %v", err)
+			}
+		}()
+		select {
+		case <-held:
+		case <-time.After(10 * time.Second):
+			t.Fatal("park hook never ran")
+		}
+	}
+	return release
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestAssignerQuota parks the shard flushes on their registries' locks
+// and checks the fan-out edge rejects the next request for the parked
+// model with ErrOverloaded before any shard burns GEMM time, admits
+// another model meanwhile, and admits the first model again once its
+// parked request is answered.
 func TestAssignerQuota(t *testing.T) {
 	sr := NewShardRegistry(2)
 	if _, err := sr.Publish("m", seqCentroids(4, 3, 0)); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAssignerOf[float64](sr, serve.BatcherOptions{
-		MaxWait: time.Minute, ModelQuota: 1,
-	})
-	defer a.Close()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := a.AssignBatch("m", matrix.NewDense(1, 3)); err != nil {
-			t.Errorf("parked request failed: %v", err)
-		}
-	}()
-	// Wait until the parked request is queued on the shards.
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		if a.Stats().Queued > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("parked request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	_, err := a.AssignBatch("m", matrix.NewDense(1, 3))
-	if !errors.Is(err, serve.ErrOverloaded) {
-		t.Fatalf("expected ErrOverloaded, got %v", err)
-	}
-	// Another model is not affected by m's quota.
 	if _, err := sr.Publish("other", seqCentroids(2, 3, 50)); err != nil {
 		t.Fatal(err)
 	}
-	assignNudged(t, a, "other")
-	wg.Wait()
+	a := NewAssignerOf[float64](sr, serve.BatcherOptions{ModelQuota: 1})
+	t.Cleanup(a.Close)
+	release := parkRegistries(t, sr.Registry(0), sr.Registry(1))
 
-	st := a.Stats()
-	if st.Rejected != 1 {
-		t.Errorf("rejected counter %d, want 1", st.Rejected)
+	answered := make(chan error, 2)
+	assign := func(model string) {
+		_, err := a.AssignBatch(model, matrix.NewDense(1, 3))
+		answered <- err
 	}
-	if st.Requests != 2 {
+	go assign("m")
+	waitFor(t, "m's request to be admitted", func() bool { return a.InFlight()["m"] == 1 })
+	// Refused at once: an admitted request would block behind the
+	// parked shard flushes.
+	second := make(chan error, 1)
+	go func() {
+		_, err := a.AssignBatch("m", matrix.NewDense(1, 3))
+		second <- err
+	}()
+	select {
+	case err := <-second:
+		if !errors.Is(err, serve.ErrOverloaded) {
+			t.Fatalf("expected ErrOverloaded, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("second request for m was admitted behind the parked flushes, not refused")
+	}
+	if st := a.Stats(); st.Rejected != 1 || st.Flushes != 0 {
+		t.Fatalf("after the rejection: rejected %d (want 1), shard flushes %d (want 0: no GEMM yet)",
+			st.Rejected, st.Flushes)
+	}
+	// Another model is not affected by m's quota.
+	go assign("other")
+	waitFor(t, "the other model's request to be admitted", func() bool {
+		return a.InFlight()["other"] == 1
+	})
+	if st := a.Stats(); st.Rejected != 1 {
+		t.Fatalf("other model rejected: rejected counter %d, want 1", st.Rejected)
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-answered:
+			if err != nil {
+				t.Fatalf("admitted request failed: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("admitted requests never answered")
+		}
+	}
+	if st := a.Stats(); st.Requests != 2 {
 		t.Errorf("requests counter %d, want 2", st.Requests)
 	}
 	// Quota released: the model answers again.
-	assignNudged(t, a, "m")
-}
-
-// assignNudged answers one request against a batcher configured with a
-// very long MaxWait by nudging Flush until the answer lands.
-func assignNudged(t *testing.T, a *AssignerOf[float64], model string) {
-	t.Helper()
-	done := make(chan error, 1)
-	go func() {
-		_, err := a.AssignBatch(model, matrix.NewDense(1, 3))
-		done <- err
-	}()
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("model %q request failed: %v", model, err)
-			}
-			return
-		case <-deadline:
-			t.Fatalf("model %q request never answered", model)
-		default:
-			a.Flush()
-			time.Sleep(time.Millisecond)
-		}
+	if _, err := a.AssignBatch("m", matrix.NewDense(1, 3)); err != nil {
+		t.Fatalf("post-drain request failed: %v", err)
 	}
 }
 

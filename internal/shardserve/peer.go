@@ -13,12 +13,10 @@ import (
 
 // PeerOptions configure a worker peer's serve loop.
 type PeerOptions struct {
-	// Batcher configures the peer's shard batchers (MaxBatch, MaxWait,
-	// Threads). The peer forces the shard-role settings the in-process
-	// assigner uses — RawSqDist on (the coordinator clamps once after
-	// the global min), no per-model quota (enforced at the fan-out
-	// edge), Internal instruments — so a remote replica computes
-	// exactly what a local one would.
+	// Batcher configures the peer's shard batchers. The peer builds
+	// them exactly as the in-process assigner builds its own
+	// (shardOptions: Threads and Quantize, marked Shard), so a remote
+	// replica computes exactly what a local one would.
 	Batcher serve.BatcherOptions
 	// PulseEvery is the heartbeat cadence (default: a quarter of the
 	// topology's pulse timeout, matching the in-process clock).
@@ -42,11 +40,7 @@ func ServePeer(tr netcluster.Transport, opts PeerOptions) error {
 	if tr.Rank() == 0 {
 		return fmt.Errorf("shardserve: rank 0 is the coordinator, not a peer")
 	}
-	bopts := opts.Batcher
-	bopts.RawSqDist = true
-	bopts.ModelQuota = 0
-	bopts.Internal = true
-	bopts.Tracer = nil
+	bopts := shardOptions(opts.Batcher)
 	reg := serve.NewRegistry(1)
 	bat64 := serve.NewBatcherOf[float64](reg, bopts)
 	bat32 := serve.NewBatcherOf[float32](reg, bopts)

@@ -4,7 +4,7 @@ import "knor/internal/telemetry"
 
 // Fan-out-edge instruments, registered at init against
 // telemetry.Default. The per-shard serve.BatcherOf instances run with
-// BatcherOptions.Internal set, so the serve-layer edge instruments stay
+// BatcherOptions.Shard set, so the serve-layer edge instruments stay
 // silent and these count each distributed request exactly once; the
 // shard batchers still feed the process-wide flush/GEMM/queue series.
 var (

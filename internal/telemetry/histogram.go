@@ -83,44 +83,3 @@ func (h *Histogram) BucketCounts() []uint64 {
 	}
 	return out
 }
-
-// Quantile estimates the q-th quantile from the bucket counts by
-// linear interpolation within the located bucket (Prometheus
-// histogram_quantile semantics). NaN when empty; the last finite bound
-// bounds estimates that land in the +Inf bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if float64(cum+c) >= rank {
-			if i == len(h.bounds) { // +Inf bucket: clamp to last bound
-				if len(h.bounds) == 0 {
-					return math.NaN()
-				}
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			if c == 0 {
-				return hi
-			}
-			return lo + (hi-lo)*(rank-float64(cum))/float64(c)
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
-}

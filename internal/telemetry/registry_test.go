@@ -141,20 +141,22 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantile reads quantiles off snapshots of live
+// histograms, the path /v1/cluster/stats takes.
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4})
-	if !math.IsNaN(h.Quantile(0.5)) {
+	if !math.IsNaN(snapshotHist(h, nil).Quantile(0.5)) {
 		t.Fatal("empty histogram quantile should be NaN")
 	}
 	for i := 0; i < 100; i++ {
 		h.Observe(0.5) // all in the first bucket
 	}
-	if q := h.Quantile(0.5); q <= 0 || q > 1 {
+	if q := snapshotHist(h, nil).Quantile(0.5); q <= 0 || q > 1 {
 		t.Fatalf("p50 = %v, want within (0, 1]", q)
 	}
 	h2 := NewHistogram([]float64{1})
 	h2.Observe(100) // lands in +Inf: quantile clamps to the last bound
-	if q := h2.Quantile(0.99); q != 1 {
+	if q := snapshotHist(h2, nil).Quantile(0.99); q != 1 {
 		t.Fatalf("+Inf-bucket quantile = %v, want clamp to 1", q)
 	}
 }

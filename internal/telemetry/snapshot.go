@@ -33,8 +33,10 @@ type SnapshotFamily struct {
 }
 
 // Quantile estimates the q-th quantile of a histogram sample by linear
-// interpolation within the located bucket (same semantics as
-// Histogram.Quantile). NaN for empty or non-histogram samples.
+// interpolation within the located bucket (Prometheus
+// histogram_quantile semantics). NaN for empty or non-histogram
+// samples; the last finite bound bounds estimates that land in the
+// +Inf bucket.
 func (s SnapshotSample) Quantile(q float64) float64 {
 	if s.Count == 0 || len(s.Buckets) == 0 {
 		return math.NaN()

@@ -60,17 +60,20 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 }
 
-// TestSnapshotQuantile: the snapshot-side quantile matches the live
-// histogram's interpolation, and empty samples yield NaN.
+// TestSnapshotQuantile: the snapshot quantile interpolates linearly
+// within the located bucket, clamps +Inf-bucket ranks to the last
+// bound, and yields NaN for empty samples.
 func TestSnapshotQuantile(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4})
 	for _, v := range []float64{0.5, 1.5, 1.6, 3, 3.5, 100} {
-		h.Observe(v)
+		h.Observe(v) // buckets: 1, 2, 2, and 1 in +Inf
 	}
 	s := snapshotHist(h, nil)
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if live, snap := h.Quantile(q), s.Quantile(q); live != snap {
-			t.Fatalf("q=%g: live %g != snapshot %g", q, live, snap)
+	for _, c := range []struct{ q, want float64 }{
+		{0.25, 1.25}, {0.5, 2}, {0.75, 3.5}, {0.9, 4}, {0.99, 4},
+	} {
+		if got := s.Quantile(c.q); got != c.want {
+			t.Fatalf("q=%g: quantile %g, want %g", c.q, got, c.want)
 		}
 	}
 	if !math.IsNaN((SnapshotSample{}).Quantile(0.5)) {

@@ -49,7 +49,7 @@ func TestFacadePrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []knor.Precision{knor.Precision64, knor.Precision32} {
-		a := knor.NewAssigner(reg, knor.BatcherOptions{MaxBatch: 64}, p)
+		a := knor.NewAssigner(reg, knor.BatcherOptions{}, p)
 		as, err := a.AssignRows("m", data)
 		a.Close()
 		if err != nil {
