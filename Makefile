@@ -32,26 +32,29 @@ bench-precision:
 	$(GO) test -run=NONE -bench='ServeAssign' -benchtime=20x ./internal/serve
 
 # EXPERIMENTS.md's Kernels table: SIMD vs pure-Go GEMM GFLOP/s at both
-# element widths plus the int8 quantized scan, with the machine-readable
-# report (including the float32 asm/go speedup on the acceptance shape)
-# in BENCH_kernels.json.
+# element widths, the int8 quantized scan and the row-distance kernel's
+# ns per distance, with the machine-readable report (including the
+# float32 asm/go speedup on the acceptance shape) in BENCH_kernels.json.
 bench-kernels:
 	$(GO) run ./cmd/knorbench -exp kernels -json BENCH_kernels.json
 
 # The parity suite against the pure-Go reference kernels (mirrors CI):
 # the same tests that gate the assembly path must pass with it compiled
-# out.
+# out. Training's dense scans dispatch to the row-distance kernel, so
+# the training engines and their goldens run here too.
 test-noasm:
-	$(GO) test -tags noasm ./internal/blas/... ./internal/serve/... ./internal/shardserve/...
+	$(GO) test -tags noasm ./internal/blas/... ./internal/serve/... ./internal/shardserve/... \
+		./internal/kmeans/... ./internal/sem/... ./internal/dist/...
 
 # 10 s coverage-guided runs of the fuzz targets (mirrors CI; `go test`
 # alone only replays their seeds): the /v1/assign body decoder against
-# encoding/json, the netcluster frame codec, and the SIMD GEMM against
-# the pure-Go kernel.
+# encoding/json, the netcluster frame codec, and the SIMD GEMM and
+# row-distance kernels against the pure-Go loops.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssignBody$$' -fuzztime 10s ./cmd/knorserve
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/netcluster
 	$(GO) test -run '^$$' -fuzz '^FuzzDgemmAsmParity$$' -fuzztime 10s ./internal/blas
+	$(GO) test -run '^$$' -fuzz '^FuzzSqDistRowsParity$$' -fuzztime 10s ./internal/blas
 
 # Full figure sweeps (smaller -quick variants; drop -quick for the
 # complete scale-reduced reproduction).

@@ -2,8 +2,9 @@ package main
 
 // Kernels experiment: GFLOP/s of the Dgemm microkernels at both
 // element widths with the assembly path on and off (same binary — the
-// dispatch switch flips at runtime), plus the int8 quantized
-// centroid-scan kernel's throughput. With -json the measurements also
+// dispatch switch flips at runtime), the int8 quantized centroid-scan
+// kernel's throughput, and ns per distance of the exact row-distance
+// kernel training's dense scans run. With -json the measurements also
 // land in a machine-readable file (the bench-kernels Makefile target
 // writes BENCH_kernels.json), including the float32 asm/go speedup on
 // the acceptance shape.
@@ -38,6 +39,16 @@ type quantResult struct {
 	RowsPerSec float64 `json:"rows_per_sec"`
 }
 
+// distRowsResult is one SqDistRows measurement in the JSON report: a
+// row's exact squared distances to k centroids, as training's dense
+// scans compute them, in ns per distance.
+type distRowsResult struct {
+	Kernel    string  `json:"kernel"` // go | avx2fma | neon
+	D         int     `json:"d"`
+	K         int     `json:"k"`
+	NsPerDist float64 `json:"ns_per_dist"`
+}
+
 // kernelsReport is the BENCH_kernels.json schema.
 type kernelsReport struct {
 	// Kernel is the assembly flavour compiled in ("go" when the binary
@@ -46,9 +57,10 @@ type kernelsReport struct {
 	Threads int    `json:"threads"`
 	// SpeedupF32 is asm/go GFLOP/s on the acceptance shape (1M-row
 	// PairwiseSqDist-shaped GEMM, d=16, k=100); 1.0 without assembly.
-	SpeedupF32 float64        `json:"speedup_f32"`
-	Gemm       []kernelResult `json:"gemm"`
-	Quantized  []quantResult  `json:"quantized"`
+	SpeedupF32 float64          `json:"speedup_f32"`
+	Gemm       []kernelResult   `json:"gemm"`
+	Quantized  []quantResult    `json:"quantized"`
+	DistRows   []distRowsResult `json:"dist_rows"`
 }
 
 // gemmShapes: the acceptance shape first (1M x 16 by k=100 — the
@@ -58,6 +70,14 @@ var gemmShapes = []struct{ m, d, k int }{
 	{1_000_000, 16, 100},
 	{200_000, 64, 64},
 	{100_000, 100, 31},
+}
+
+// distRowsShapes are the two benchmark workloads' training scans: d16's
+// 50000 rows against k=100, and the 2000 rows a d32 deployment's model
+// trains on against k=1000.
+var distRowsShapes = []struct{ rows, d, k int }{
+	{50_000, 16, 100},
+	{2_000, 32, 1000},
 }
 
 func kernelsExp(e env) {
@@ -138,6 +158,40 @@ func kernelsExp(e env) {
 		fmt.Printf("  float32 asm/go speedup on %dx%d k=%d: %.2fx\n",
 			shapes[0].m, shapes[0].d, shapes[0].k, report.SpeedupF32)
 	}
+
+	// The float64 row-distance kernel, one data row at a time against
+	// all k centroids. arm64 has no float64 row kernel, so there both
+	// rows time the Go loop.
+	rows = nil
+	for _, sh := range distRowsShapes {
+		n := sh.rows
+		if e.quick {
+			n /= 10
+		}
+		all := workload.Generate(workload.Spec{Kind: workload.UniformMultivariate, N: n + sh.k, D: sh.d, Seed: int64(sh.d)})
+		data, cents := all.Data[:n*sh.d], all.Data[n*sh.d:]
+		out := make([]float64, sh.k)
+		for _, asm := range []bool{true, false} {
+			if asm && !blas.AsmSupported() {
+				continue
+			}
+			prev := blas.SetAsmEnabled(asm)
+			name := blas.KernelName()
+			if !asm {
+				name = "go"
+			}
+			t := timeReps(reps, func() {
+				for i := 0; i < n; i++ {
+					blas.SqDistRows(data[i*sh.d:(i+1)*sh.d], cents, sh.k, out)
+				}
+			})
+			blas.SetAsmEnabled(prev)
+			ns := t * 1e9 / float64(n*sh.k)
+			report.DistRows = append(report.DistRows, distRowsResult{Kernel: name, D: sh.d, K: sh.k, NsPerDist: ns})
+			rows = append(rows, []string{fmt.Sprintf("%d rows x%d k=%d", n, sh.d, sh.k), name, fmt.Sprintf("%.2f", ns)})
+		}
+	}
+	printTable([]string{"SqDistRows", "kernel", "ns/dist"}, rows)
 
 	if e.jsonPath != "" {
 		buf, err := json.MarshalIndent(&report, "", "  ")

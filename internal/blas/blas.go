@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"knor/internal/fp"
+	"knor/internal/matrix"
 )
 
 // Float is the element-type constraint threaded through the matrix,
@@ -71,6 +72,25 @@ func RowNormsSq[T Float](a []T, m, n int, out []T) {
 	}
 	for i := 0; i < m; i++ {
 		out[i] = Dnrm2Sq(a[i*n : (i+1)*n])
+	}
+}
+
+// SqDistRows sets out[j] to the squared Euclidean distance between x
+// and row j of the n×len(x) row-major matrix y, for j < n. Each value is
+// bit-identical to matrix.SqDist(x, row j): the float64 AVX2 kernel (see
+// kernels_amd64.s) keeps its subtract, square and ascending-p sum, and
+// every other row, width and platform runs that loop itself.
+func SqDistRows[T Float](x, y []T, n int, out []T) {
+	d := len(x)
+	if len(y) < n*d || len(out) < n {
+		panic("blas: SqDistRows size mismatch")
+	}
+	j := 0
+	if x64, ok := any(x).([]float64); ok && asmEnabled.Load() {
+		j = sqDistRowsAsm64(x64, any(y).([]float64), n, any(out).([]float64))
+	}
+	for ; j < n; j++ {
+		out[j] = matrix.SqDist(x, y[j*d:(j+1)*d])
 	}
 }
 

@@ -68,3 +68,38 @@ func gemmKern64(a0, a1, pack, c0, c1 *float64, jn, ldp, kl, rows int, alpha floa
 //
 //go:noescape
 func dotKern8(q, b *int8, ldb, n, kl int, out *int32)
+
+// sqDistKern64 fills out[j] = Σ_{p<dl} (x[p] − y[j·ld+p])² for
+// j ∈ [0, n): n a multiple of 8, dl a positive multiple of 4. Separate
+// VSUBPD, VMULPD and VADDPD, one accumulator lane per row, columns
+// added in ascending p: each lane repeats matrix.SqDist's rounding
+// sequence.
+//
+//go:noescape
+func sqDistKern64(x, y *float64, ld, dl, n int, out *float64)
+
+// sqDistRowsAsm64 fills out[j] for the first n&^7 rows with the AVX2
+// kernel and returns how many rows it filled; SqDistRows runs the Go
+// loop over the rest. The kernel covers the columns below d&^3, and the
+// remaining d mod 4 columns continue each row's sum in the same order.
+func sqDistRowsAsm64(x, y []float64, n int, out []float64) int {
+	d := len(x)
+	dl, n8 := d&^3, n&^7
+	if dl == 0 || n8 == 0 {
+		return 0
+	}
+	sqDistKern64(&x[0], &y[0], d, dl, n8, &out[0])
+	if dl == d {
+		return n8
+	}
+	for j := 0; j < n8; j++ {
+		row := y[j*d : (j+1)*d]
+		s := out[j]
+		for p := dl; p < d; p++ {
+			v := x[p] - row[p]
+			s += v * v
+		}
+		out[j] = s
+	}
+	return n8
+}

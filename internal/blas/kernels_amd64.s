@@ -444,3 +444,99 @@ i8sum:
 i8done:
 	VZEROUPPER
 	RET
+
+// func sqDistKern64(x, y *float64, ld, dl, n int, out *float64)
+//
+// out[j] = Σ_{p<dl} (x[p] − y[j·ld+p])² for j ∈ [0, n), with n a
+// multiple of 8 and dl a positive multiple of 4; the Go wrapper adds
+// the d mod 4 columns and the n mod 8 rows. Eight rows per step, as two
+// groups of four (accumulators Y0 and Y1, one lane per row). Per group
+// and 4-column block: VSUBPD then VMULPD give a 4×4 block of squares,
+// one row per register; VUNPCKLPD/VUNPCKHPD and VPERM2F128 transpose it
+// to one column per register; four VADDPD add the columns into the
+// accumulator in ascending p. Per lane that is exactly matrix.SqDist's
+// d := x−y; s += d*d rounding sequence (unfused, as Go compiles it).
+//
+// Register plan: SI = x, BX = the step's first row, R8 = out,
+// R10 = rows left, R11 = ld bytes, R12 = dl, R13 = 3·ld bytes,
+// R14 = 8·ld bytes; per column block DI = x, AX/DX = rows 0-3/4-7.
+TEXT ·sqDistKern64(SB), NOSPLIT, $0-48
+	MOVQ x+0(FP), SI
+	MOVQ y+8(FP), BX
+	MOVQ ld+16(FP), R11
+	MOVQ dl+24(FP), R12
+	MOVQ n+32(FP), R10
+	MOVQ out+40(FP), R8
+	SHLQ $3, R11
+	LEAQ (R11)(R11*2), R13
+	MOVQ R11, R14
+	SHLQ $3, R14
+
+sdrows:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ BX, AX
+	LEAQ (BX)(R11*4), DX
+	MOVQ SI, DI
+	MOVQ R12, CX
+
+sdcols:
+	VMOVUPD (DI), Y2
+
+	VSUBPD (AX), Y2, Y3
+	VSUBPD (AX)(R11*1), Y2, Y4
+	VSUBPD (AX)(R11*2), Y2, Y5
+	VSUBPD (AX)(R13*1), Y2, Y6
+	VMULPD Y3, Y3, Y3
+	VMULPD Y4, Y4, Y4
+	VMULPD Y5, Y5, Y5
+	VMULPD Y6, Y6, Y6
+	VUNPCKLPD Y4, Y3, Y7
+	VUNPCKHPD Y4, Y3, Y8
+	VUNPCKLPD Y6, Y5, Y9
+	VUNPCKHPD Y6, Y5, Y10
+	VPERM2F128 $0x20, Y9, Y7, Y3
+	VPERM2F128 $0x20, Y10, Y8, Y4
+	VPERM2F128 $0x31, Y9, Y7, Y5
+	VPERM2F128 $0x31, Y10, Y8, Y6
+	VADDPD Y3, Y0, Y0
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y0, Y0
+
+	VSUBPD (DX), Y2, Y11
+	VSUBPD (DX)(R11*1), Y2, Y12
+	VSUBPD (DX)(R11*2), Y2, Y13
+	VSUBPD (DX)(R13*1), Y2, Y14
+	VMULPD Y11, Y11, Y11
+	VMULPD Y12, Y12, Y12
+	VMULPD Y13, Y13, Y13
+	VMULPD Y14, Y14, Y14
+	VUNPCKLPD Y12, Y11, Y7
+	VUNPCKHPD Y12, Y11, Y8
+	VUNPCKLPD Y14, Y13, Y9
+	VUNPCKHPD Y14, Y13, Y10
+	VPERM2F128 $0x20, Y9, Y7, Y11
+	VPERM2F128 $0x20, Y10, Y8, Y12
+	VPERM2F128 $0x31, Y9, Y7, Y13
+	VPERM2F128 $0x31, Y10, Y8, Y14
+	VADDPD Y11, Y1, Y1
+	VADDPD Y12, Y1, Y1
+	VADDPD Y13, Y1, Y1
+	VADDPD Y14, Y1, Y1
+
+	ADDQ $32, DI
+	ADDQ $32, AX
+	ADDQ $32, DX
+	SUBQ $4, CX
+	JNZ  sdcols
+
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, 32(R8)
+	ADDQ $64, R8
+	ADDQ R14, BX
+	SUBQ $8, R10
+	JNZ  sdrows
+
+	VZEROUPPER
+	RET

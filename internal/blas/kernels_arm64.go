@@ -30,3 +30,7 @@ func gemmKern64(a0, a1, pack, c0, c1 *float64, jn, ldp, kl, rows int, alpha floa
 //
 //go:noescape
 func dotKern8(q, b *int8, ldb, n, kl int, out *int32)
+
+// sqDistRowsAsm64 has no NEON kernel: SqDistRows runs its Go loop over
+// every row.
+func sqDistRowsAsm64(x, y []float64, n int, out []float64) int { return 0 }

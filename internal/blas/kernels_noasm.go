@@ -21,3 +21,5 @@ func scanRowsI8Asm(q []int8, b []int8, n, d int, out []int32) {
 		out[j] = scanRowI8(q, b[j*d:(j+1)*d])
 	}
 }
+
+func sqDistRowsAsm64(x, y []float64, n int, out []float64) int { return 0 }

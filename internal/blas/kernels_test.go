@@ -19,11 +19,13 @@ package blas_test
 // pure-Go path twice — proving the fallback build passes every test.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"knor/internal/blas"
+	"knor/internal/matrix"
 )
 
 var parityShapes = func() [][3]int {
@@ -299,4 +301,164 @@ func FuzzDgemmAsmParity(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sqDistSpecials are the values the SqDistRows tests mix into their
+// inputs: infinities, NaN, signed zeros, subnormals and values whose
+// squares underflow, and magnitudes near √MaxFloat64 and √MaxFloat32
+// whose squares overflow.
+var sqDistSpecials = []float64{
+	math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1),
+	5e-324, -5e-324, 2.2e-308, 1e-160, 1e-45,
+	1.3407807929942596e154, -1.3407807929942596e154, 1e154, 1.8446742e19, -1.8e19,
+}
+
+// sqDistInput draws size normal values, each replaced by a special one
+// with probability special.
+func sqDistInput[T blas.Float](rng *rand.Rand, size int, special float64) []T {
+	s := make([]T, size)
+	for i := range s {
+		v := rng.NormFloat64()
+		if rng.Float64() < special {
+			v = sqDistSpecials[rng.Intn(len(sqDistSpecials))]
+		}
+		s[i] = T(v)
+	}
+	return s
+}
+
+// sameBits reports bit equality, with any two NaNs equal: the kernel
+// subtracts in SqDist's order, but a NaN's payload is the hardware's
+// choice.
+func sameBits[T blas.Float](a, b T) bool {
+	if a != a && b != b {
+		return true
+	}
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+}
+
+// checkSqDistRows holds SqDistRows to matrix.SqDist row by row, bit for
+// bit, with y and out exactly n rows long and a sentinel past out.
+func checkSqDistRows[T blas.Float](t *testing.T, label string, x, y []T, n int) {
+	t.Helper()
+	d := len(x)
+	out := make([]T, n+1)
+	const sentinel = -7
+	out[n] = sentinel
+	blas.SqDistRows(x, y[:n*d], n, out[:n])
+	for j := 0; j < n; j++ {
+		if want := matrix.SqDist(x, y[j*d:(j+1)*d]); !sameBits(out[j], want) {
+			t.Fatalf("%s d=%d n=%d: out[%d]=%v, SqDist=%v", label, d, n, j, out[j], want)
+		}
+	}
+	if out[n] != sentinel {
+		t.Fatalf("%s d=%d n=%d: wrote past out[n-1]", label, d, n)
+	}
+}
+
+func testSqDistRowsExact[T blas.Float](t *testing.T, width string) {
+	rng := rand.New(rand.NewSource(48))
+	ns := []int{1000}
+	for n := 0; n <= 17; n++ {
+		ns = append(ns, n)
+	}
+	for _, asm := range []bool{true, false} {
+		prev := blas.SetAsmEnabled(asm)
+		for _, special := range []float64{0, 0.05} {
+			for _, d := range []int{1, 2, 3, 4, 5, 7, 8, 13, 16, 17, 32, 33} {
+				for _, n := range ns {
+					x := sqDistInput[T](rng, d, special)
+					y := sqDistInput[T](rng, n*d, special)
+					label := fmt.Sprintf("%s asm=%v special=%v", width, asm, special)
+					checkSqDistRows(t, label, x, y, n)
+				}
+			}
+		}
+		blas.SetAsmEnabled(prev)
+	}
+}
+
+// TestSqDistRowsExact holds the row-distance kernel to matrix.SqDist bit
+// for bit at both widths, with the assembly path on and off, over every
+// d mod 4 and n mod 8 tail and through Inf, NaN, subnormal and
+// overflowing inputs.
+func TestSqDistRowsExact(t *testing.T) {
+	testSqDistRowsExact[float64](t, "float64")
+	testSqDistRowsExact[float32](t, "float32")
+
+	// Every special value at every column of an 8-row step, against
+	// finite rows and against itself.
+	prev := blas.SetAsmEnabled(true)
+	defer blas.SetAsmEnabled(prev)
+	const n, d = 9, 7
+	rng := rand.New(rand.NewSource(49))
+	for _, v := range sqDistSpecials {
+		for p := 0; p < d; p++ {
+			x := sqDistInput[float64](rng, d, 0)
+			y := sqDistInput[float64](rng, n*d, 0)
+			x[p] = v
+			for j := 0; j < n; j += 2 {
+				y[j*d+p] = v
+			}
+			checkSqDistRows(t, fmt.Sprintf("special %v at p=%d", v, p), x, y, n)
+		}
+	}
+}
+
+func FuzzSqDistRowsParity(f *testing.F) {
+	f.Add(int64(1), 8, 4)
+	f.Add(int64(2), 13, 17)
+	f.Add(int64(3), 100, 16)
+	f.Fuzz(func(t *testing.T, seed int64, n, d int) {
+		if n < 0 || d < 1 || n > 300 || d > 80 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		x := sqDistInput[float64](rng, d, 0.05)
+		y := sqDistInput[float64](rng, n*d, 0.05)
+		outAsm, outGo := make([]float64, n), make([]float64, n)
+		prev := blas.SetAsmEnabled(true)
+		blas.SqDistRows(x, y, n, outAsm)
+		blas.SetAsmEnabled(false)
+		blas.SqDistRows(x, y, n, outGo)
+		blas.SetAsmEnabled(prev)
+		for j := range outAsm {
+			want := matrix.SqDist(x, y[j*d:(j+1)*d])
+			if !sameBits(outAsm[j], outGo[j]) || !sameBits(outGo[j], want) {
+				t.Fatalf("n=%d d=%d: out[%d] asm=%v go=%v SqDist=%v", n, d, j, outAsm[j], outGo[j], want)
+			}
+		}
+	})
+}
+
+// BenchmarkSqDistRows times one row against the two benchmark models'
+// centroid sets (d16/k=100, d32/k=1000), assembly against the Go loop,
+// and reports ns per distance.
+func BenchmarkSqDistRows(b *testing.B) {
+	for _, sh := range []struct {
+		name string
+		d, k int
+	}{{"d16k100", 16, 100}, {"d32k1000", 32, 1000}} {
+		rng := rand.New(rand.NewSource(47))
+		x := fillF64(rng, sh.d)
+		y := fillF64(rng, sh.k*sh.d)
+		out := make([]float64, sh.k)
+		for _, asm := range []bool{true, false} {
+			name := sh.name + "/go"
+			if asm {
+				name = sh.name + "/asm"
+			}
+			b.Run(name, func(b *testing.B) {
+				if asm && !blas.AsmSupported() {
+					b.Skip("no assembly kernels on this build")
+				}
+				prev := blas.SetAsmEnabled(asm)
+				defer blas.SetAsmEnabled(prev)
+				for i := 0; i < b.N; i++ {
+					blas.SqDistRows(x, y, sh.k, out)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.k), "ns/dist")
+			})
+		}
+	}
 }

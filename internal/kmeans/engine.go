@@ -215,11 +215,7 @@ func (e *EngineOf[T]) ApplyGlobal(delta *AccumOf[T]) float64 {
 // decisions are independent given the iteration's centroids).
 func (e *EngineOf[T]) computePass(iter int) IterStats {
 	var cursor int64
-	type out struct {
-		ctr     PruneCounters
-		changed int
-	}
-	outs := make([]out, e.cfg.Threads)
+	outs := make([]Tally, e.cfg.Threads)
 	rowBytes := e.d * blas.ElemBytes[T]()
 	var wg sync.WaitGroup
 	for w := 0; w < e.cfg.Threads; w++ {
@@ -227,6 +223,7 @@ func (e *EngineOf[T]) computePass(iter int) IterStats {
 		go func(w int) {
 			defer wg.Done()
 			o := &outs[w]
+			dist := make([]T, e.k)
 			delta := e.deltas[w]
 			delta.Reset()
 			for {
@@ -235,19 +232,19 @@ func (e *EngineOf[T]) computePass(iter int) IterStats {
 					return
 				}
 				task := e.tasks[ti]
-				before := o.ctr
-				changedBefore := o.changed
+				before := o.Ctr
+				changedBefore := o.Changed
 				bytes := 0
 				for i := task.Lo; i < task.Hi; i++ {
 					if iter > 0 && !e.ps.NeedsRow(i) {
-						o.ctr.C1++
+						o.Ctr.C1++
 						continue
 					}
 					bytes += rowBytes
 					row := e.data.Row(i)
 					old := e.ps.Assign[i]
-					if e.ps.AssignRow(i, row, e.cents, &o.ctr) {
-						o.changed++
+					if e.ps.AssignRow(i, row, e.cents, &o.Ctr, dist) {
+						o.Changed++
 						if old >= 0 {
 							delta.Remove(row, int(old))
 						}
@@ -255,9 +252,9 @@ func (e *EngineOf[T]) computePass(iter int) IterStats {
 					}
 				}
 				e.costs[ti] = taskCost{
-					dists:   o.ctr.DistCalcs - before.DistCalcs,
+					dists:   o.Ctr.DistCalcs - before.DistCalcs,
 					bytes:   bytes,
-					changed: o.changed - changedBefore,
+					changed: o.Changed - changedBefore,
 					rows:    task.Rows(),
 				}
 			}
@@ -265,21 +262,11 @@ func (e *EngineOf[T]) computePass(iter int) IterStats {
 	}
 	wg.Wait()
 
-	var st IterStats
-	changed := 0
-	for i := range outs {
-		st.DistCalcs += outs[i].ctr.DistCalcs
-		st.PrunedC1 += outs[i].ctr.C1
-		st.PrunedC2 += outs[i].ctr.C2
-		st.PrunedC3 += outs[i].ctr.C3
-		changed += outs[i].changed
-	}
+	st := TallyStats(outs, e.n)
 	for i := range e.costs {
 		st.BytesWanted += uint64(e.costs[i].bytes)
 	}
 	st.BytesRead = st.BytesWanted // in-memory: wanted == read
-	st.RowsChanged = changed
-	st.ActiveRows = e.n - int(st.PrunedC1)
 	return st
 }
 

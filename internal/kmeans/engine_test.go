@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"knor/internal/matrix"
 	"knor/internal/numa"
 	"knor/internal/sched"
 )
@@ -233,5 +234,36 @@ func TestParallelEqualsSerialProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkTrain times knori (Run) on the benchmark's training shapes:
+// the d16 shape (50000×16, 10 components, k=100, Forgy, 20 iterations)
+// per pruning mode and thread count, and the model a d32 knorserve
+// deployment trains at set-up (2000×32, k=1000, k-means++, MTI, 2
+// iterations, 1 thread).
+func BenchmarkTrain(b *testing.B) {
+	d16 := testData(50_000, 16, 10, 1)
+	d32 := testData(2_000, 32, 10, 1)
+	for _, bc := range []struct {
+		name    string
+		data    *matrix.Dense
+		cfg     Config
+		threads int
+	}{
+		{"d16/none/t1", d16, Config{K: 100, MaxIters: 20, Init: InitForgy, Prune: PruneNone}, 1},
+		{"d16/mti/t1", d16, Config{K: 100, MaxIters: 20, Init: InitForgy, Prune: PruneMTI}, 1},
+		{"d16/mti/t2", d16, Config{K: 100, MaxIters: 20, Init: InitForgy, Prune: PruneMTI}, 2},
+		{"d32serve/mti/t1", d32, Config{K: 1000, MaxIters: 2, Init: InitKMeansPP, Prune: PruneMTI}, 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := bc.cfg
+			cfg.Seed, cfg.Threads, cfg.Tol = 1, bc.threads, -1
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(bc.data, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -117,13 +117,46 @@ func initRandomPartition[T blas.Float](data RowData[T], k int, seed int64) *matr
 // listed in the paper's future work (§9) via semi-supervised k-means++.
 func initKMeansPP[T blas.Float](data RowData[T], k int, seed int64) *matrix.Mat[T] {
 	rng := rand.New(rand.NewSource(seed))
-	n := data.Rows()
-	c := matrix.New[T](k, data.Cols())
+	n, d := data.Rows(), data.Cols()
+	c := matrix.New[T](k, d)
 	copy(c.Row(0), data.Row(rng.Intn(n)))
 	d2 := make([]T, n)
-	for i := range d2 {
-		d2[i] = matrix.SqDist(data.Row(i), c.Row(0))
+	// D² scans hand SqDistRows d2Block rows at a time: an in-memory
+	// matrix's rows in place, a streaming RowData (knors'
+	// InitCentroidsFromRows) copied into one block of rows first, so
+	// memory stays O(d2Block·d). The first scan sets d2; later ones
+	// lower it to the new centre's distance.
+	mat, _ := data.(*matrix.Mat[T])
+	var block []T
+	if mat == nil {
+		block = make([]T, d2Block*d)
 	}
+	nd := make([]T, d2Block)
+	scan := func(centre []T, first bool) {
+		for lo := 0; lo < n; lo += d2Block {
+			hi := min(lo+d2Block, n)
+			var rows []T
+			if mat != nil {
+				rows = mat.Data[lo*d : hi*d]
+			} else {
+				rows = block[:(hi-lo)*d]
+				for i := lo; i < hi; i++ {
+					copy(rows[(i-lo)*d:], data.Row(i))
+				}
+			}
+			if first {
+				blas.SqDistRows(centre, rows, hi-lo, d2[lo:hi])
+				continue
+			}
+			blas.SqDistRows(centre, rows, hi-lo, nd)
+			for i, v := range nd[:hi-lo] {
+				if v < d2[lo+i] {
+					d2[lo+i] = v
+				}
+			}
+		}
+	}
+	scan(c.Row(0), true)
 	for g := 1; g < k; g++ {
 		// The D² prefix sum runs in float64 at every width: at float32 a
 		// large-n total saturates (ulp ~ total·ε), silently zeroing the
@@ -148,15 +181,13 @@ func initKMeansPP[T blas.Float](data RowData[T], k int, seed int64) *matrix.Mat[
 			}
 		}
 		copy(c.Row(g), data.Row(pick))
-		// Update D² against the newly chosen centre.
-		for i := range d2 {
-			if nd := matrix.SqDist(data.Row(i), c.Row(g)); nd < d2[i] {
-				d2[i] = nd
-			}
-		}
+		scan(c.Row(g), false)
 	}
 	return c
 }
+
+// d2Block is how many rows a k-means++ D² scan hands SqDistRows at once.
+const d2Block = 256
 
 // normalizeRows is the spherical variant's row normalisation, shared
 // across engines via matrix.NormalizeRows.

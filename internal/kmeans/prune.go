@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"math"
+	"unsafe"
 
 	"knor/internal/blas"
 	"knor/internal/matrix"
@@ -29,6 +30,31 @@ func (c *PruneCounters) Add(o PruneCounters) {
 	c.C1 += o.C1
 	c.C2 += o.C2
 	c.C3 += o.C3
+}
+
+// Tally is one compute-pass worker's counters: its pruning counters and
+// how many rows it moved. AssignRow bumps them for every candidate, so
+// each worker gets a whole 128-byte Tally: adjacent workers' counters
+// then share no cache line, nor an adjacent-line prefetch pair.
+type Tally struct {
+	Ctr     PruneCounters
+	Changed int
+	_       [128 - unsafe.Sizeof(PruneCounters{}) - unsafe.Sizeof(0)]byte
+}
+
+// TallyStats folds the workers' tallies of an n-row pass into the
+// iteration's counters, rows changed and active rows.
+func TallyStats(ts []Tally, n int) IterStats {
+	var st IterStats
+	for i := range ts {
+		st.DistCalcs += ts[i].Ctr.DistCalcs
+		st.PrunedC1 += ts[i].Ctr.C1
+		st.PrunedC2 += ts[i].Ctr.C2
+		st.PrunedC3 += ts[i].Ctr.C3
+		st.RowsChanged += ts[i].Changed
+	}
+	st.ActiveRows = n - int(st.PrunedC1)
+	return st
 }
 
 // PruneStateOf holds the triangle-inequality bound state shared by the
@@ -108,17 +134,22 @@ func (p *PruneStateOf[T]) MemoryBytes() uint64 {
 
 // UpdateCentroidDists refreshes CC and SHalf for the iteration's
 // centroids. Cost O(k²d); every engine calls it once per iteration.
+// Row a of CC takes centroid a's distances to centroids a+1…k−1 from
+// one SqDistRows call, square-rooted in place, and mirrors them below
+// the diagonal.
 func (p *PruneStateOf[T]) UpdateCentroidDists(cents *matrix.Mat[T]) {
 	if p.Mode == PruneNone || p.Mode == PruneYinyang {
 		return // Yinyang keeps no centroid-to-centroid structure
 	}
-	k := p.K
+	k, d := p.K, cents.Cols()
 	for a := 0; a < k; a++ {
 		p.CC[a*k+a] = 0
-		for b := a + 1; b < k; b++ {
-			d := matrix.Dist(cents.Row(a), cents.Row(b))
-			p.CC[a*k+b] = d
-			p.CC[b*k+a] = d
+		upper := p.CC[a*k+a+1 : (a+1)*k]
+		blas.SqDistRows(cents.Row(a), cents.Data[(a+1)*d:k*d], k-a-1, upper)
+		for j, d2 := range upper {
+			dist := sqrtT(d2)
+			upper[j] = dist
+			p.CC[(a+1+j)*k+a] = dist
 		}
 	}
 	for c := 0; c < k; c++ {
@@ -152,16 +183,18 @@ func (p *PruneStateOf[T]) NeedsRow(i int) bool {
 
 // AssignRow (re)assigns row i given its data, assuming NeedsRow(i)
 // returned true (the engine counts clause-1 skips itself via
-// CountClause1). Returns whether membership changed.
-func (p *PruneStateOf[T]) AssignRow(i int, row []T, cents *matrix.Mat[T], ctr *PruneCounters) bool {
+// CountClause1). dist is a scratch row of at least K elements, private
+// to the calling worker, for the unpruned scans. Returns whether
+// membership changed.
+func (p *PruneStateOf[T]) AssignRow(i int, row []T, cents *matrix.Mat[T], ctr *PruneCounters, dist []T) bool {
 	if p.Mode == PruneYinyang {
 		if p.Assign[i] < 0 {
-			return p.yinyangExact(i, row, cents, ctr)
+			return p.yinyangExact(i, row, cents, ctr, dist)
 		}
 		return p.yinyangAssign(i, row, cents, ctr)
 	}
 	if p.Mode == PruneNone || p.Assign[i] < 0 {
-		return p.assignExact(i, row, cents, ctr)
+		return p.assignExact(i, row, cents, ctr, dist)
 	}
 	k := p.K
 	b := int(p.Assign[i])
@@ -213,20 +246,27 @@ func (p *PruneStateOf[T]) AssignRow(i int, row []T, cents *matrix.Mat[T], ctr *P
 }
 
 // assignExact performs the unpruned argmin scan, also priming bounds
-// when pruning is enabled (used for iteration 0 and PruneNone). The
-// PruneNone/MTI paths compare squared distances — no per-candidate
-// sqrt — which is what keeps the serial baseline competitive with the
-// fused iterative kernels of Table 3. Full TI needs every true
-// distance to prime its lower-bound matrix.
-func (p *PruneStateOf[T]) assignExact(i int, row []T, cents *matrix.Mat[T], ctr *PruneCounters) bool {
+// when pruning is enabled (used for iteration 0 and PruneNone). One
+// SqDistRows call fills the row's distances to all k centroids; the
+// argmin keeps the first of equal distances. The PruneNone/MTI paths
+// compare squared distances — no per-candidate sqrt — which is what
+// keeps the serial baseline competitive with the fused iterative
+// kernels of Table 3. Full TI needs every true distance to prime its
+// lower-bound matrix, so it square-roots them in place there.
+func (p *PruneStateOf[T]) assignExact(i int, row []T, cents *matrix.Mat[T], ctr *PruneCounters, dist []T) bool {
 	k := p.K
+	if p.Mode == PruneTI {
+		dist = p.LB[i*k : (i+1)*k]
+	}
+	dist = dist[:k]
+	blas.SqDistRows(row, cents.Data, k, dist)
+	ctr.DistCalcs += uint64(k)
 	best := inf[T]()
 	bi := 0
-	ctr.DistCalcs += uint64(k) // counted per row, outside the hot loop
 	if p.Mode == PruneTI {
-		for c := 0; c < k; c++ {
-			d := matrix.Dist(row, cents.Row(c))
-			p.LB[i*k+c] = d
+		for c, d2 := range dist {
+			d := sqrtT(d2)
+			dist[c] = d
 			if d < best {
 				best = d
 				bi = c
@@ -234,8 +274,7 @@ func (p *PruneStateOf[T]) assignExact(i int, row []T, cents *matrix.Mat[T], ctr 
 		}
 		p.UB[i] = best
 	} else {
-		for c := 0; c < k; c++ {
-			d2 := matrix.SqDist(row, cents.Row(c))
+		for c, d2 := range dist {
 			if d2 < best {
 				best = d2
 				bi = c

@@ -33,6 +33,7 @@ func RunSerial(data *matrix.Dense, cfg Config) (*Result, error) {
 	ps := NewPruneState(cfg.Prune, n, k)
 	res := &Result{}
 	gsum := NewAccum(k, d) // persistent global sums
+	dist := make([]float64, k)
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		var ctr PruneCounters
 		ps.UpdateCentroidDists(cents)
@@ -43,7 +44,7 @@ func RunSerial(data *matrix.Dense, cfg Config) (*Result, error) {
 				continue
 			}
 			old := ps.Assign[i]
-			if ps.AssignRow(i, data.Row(i), cents, &ctr) {
+			if ps.AssignRow(i, data.Row(i), cents, &ctr, dist) {
 				changed++
 				if old >= 0 {
 					gsum.Remove(data.Row(i), int(old))

@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"knor/internal/blas"
 	"knor/internal/matrix"
 )
 
@@ -134,17 +135,19 @@ func (p *PruneStateOf[T]) yinyangAssign(i int, row []T, cents *matrix.Mat[T], ct
 	return changed
 }
 
-// yinyangExact primes the bounds with a full scan.
-func (p *PruneStateOf[T]) yinyangExact(i int, row []T, cents *matrix.Mat[T], ctr *PruneCounters) bool {
+// yinyangExact primes the bounds with a full scan: one SqDistRows
+// call into the worker's scratch row, square-rooted in place.
+func (p *PruneStateOf[T]) yinyangExact(i int, row []T, cents *matrix.Mat[T], ctr *PruneCounters, dist []T) bool {
 	t := p.T
 	k := p.K
-	dists := make([]T, k)
+	dist = dist[:k]
+	blas.SqDistRows(row, cents.Data, k, dist)
 	best, bi := inf[T](), 0
 	ctr.DistCalcs += uint64(k)
-	for c := 0; c < k; c++ {
-		dists[c] = matrix.Dist(row, cents.Row(c))
-		if dists[c] < best {
-			best = dists[c]
+	for c, d2 := range dist {
+		dist[c] = sqrtT(d2)
+		if dist[c] < best {
+			best = dist[c]
 			bi = c
 		}
 	}
@@ -157,8 +160,8 @@ func (p *PruneStateOf[T]) yinyangExact(i int, row []T, cents *matrix.Mat[T], ctr
 			continue
 		}
 		g := p.GroupOf[c]
-		if dists[c] < lbg[g] {
-			lbg[g] = dists[c]
+		if dist[c] < lbg[g] {
+			lbg[g] = dist[c]
 		}
 	}
 	changed := int32(bi) != p.Assign[i]

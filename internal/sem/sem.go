@@ -370,11 +370,7 @@ func (e *Engine) Step() error {
 func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 	T := e.cfg.Kmeans.Threads
 	real := e.src.Real()
-	type out struct {
-		ctr     kmeans.PruneCounters
-		changed int
-	}
-	outs := make([]out, T)
+	outs := make([]kmeans.Tally, T)
 	var firstErr atomic.Value
 	var wg sync.WaitGroup
 	for w := 0; w < T; w++ {
@@ -383,6 +379,7 @@ func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 			defer wg.Done()
 			cur := e.cursor()
 			o := &outs[w]
+			dist := make([]float64, e.k)
 			delta := e.deltas[w]
 			delta.Reset()
 			for ti := range e.tasks {
@@ -411,11 +408,11 @@ func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 					e.src.Prefetch(task.miss)
 					task.miss = task.miss[:0]
 				}
-				before := o.ctr
-				changedBefore := o.changed
+				before := o.Ctr
+				changedBefore := o.Changed
 				for i := task.lo; i < task.hi; i++ {
 					if iter > 0 && !e.ps.NeedsRow(i) {
-						o.ctr.C1++
+						o.Ctr.C1++
 						continue
 					}
 					task.active = append(task.active, int32(i))
@@ -439,16 +436,16 @@ func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 						}
 					}
 					old := e.ps.Assign[i]
-					if e.ps.AssignRow(i, row, e.cents, &o.ctr) {
-						o.changed++
+					if e.ps.AssignRow(i, row, e.cents, &o.Ctr, dist) {
+						o.Changed++
 						if old >= 0 {
 							delta.Remove(row, int(old))
 						}
 						delta.Add(row, int(e.ps.Assign[i]))
 					}
 				}
-				task.dists = o.ctr.DistCalcs - before.DistCalcs
-				task.changed = o.changed - changedBefore
+				task.dists = o.Ctr.DistCalcs - before.DistCalcs
+				task.changed = o.Changed - changedBefore
 			}
 		}(w)
 	}
@@ -457,18 +454,7 @@ func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 		return kmeans.IterStats{}, err
 	}
 
-	var st kmeans.IterStats
-	changed := 0
-	for i := range outs {
-		st.DistCalcs += outs[i].ctr.DistCalcs
-		st.PrunedC1 += outs[i].ctr.C1
-		st.PrunedC2 += outs[i].ctr.C2
-		st.PrunedC3 += outs[i].ctr.C3
-		changed += outs[i].changed
-	}
-	st.RowsChanged = changed
-	st.ActiveRows = e.n - int(st.PrunedC1)
-	return st, nil
+	return kmeans.TallyStats(outs, e.n), nil
 }
 
 // replay charges simulated time and I/O deterministically (simulated
