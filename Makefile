@@ -92,12 +92,10 @@ io-smoke:
 	echo "io-smoke: ok (file backend oracle-equal to simulated backend)"
 
 # Distributed-serving smoke (mirrors CI): the sharded-vs-single-node
-# bit-identity property test (machines x precision x argmin ties) and
-# the simulated scaling acceptance (>= 2x assign throughput at 4
-# machines), then the quick -exp shardserve sweep.
+# bit-identity property tests (machines x precision x argmin ties, and
+# across a republish).
 shardserve-smoke:
-	$(GO) test -run 'TestShardParity|TestSimulateShardServeScaling' ./internal/shardserve
-	$(GO) run ./cmd/knorbench -quick -exp shardserve
+	$(GO) test -run 'TestShardParity' ./internal/shardserve
 
 # Chaos smoke (mirrors CI, deterministic, well under 30s): the seeded
 # kill-schedule harness — replicated shard serving stays oracle-exact

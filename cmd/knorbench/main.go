@@ -9,8 +9,8 @@
 //	knorbench -exp fig4,fig5 -scale 2000
 //
 // Experiments: table1 table2 table3 fig4 fig5 fig6a fig6b fig7 fig8
-// fig8mem fig9 fig9mem fig10 fig11 fig12 fig13 ablation serve precision
-// io shardserve
+// fig8mem fig9 fig9mem fig10 fig11 fig12 fig13 ablation precision io
+// failover kernels net trace
 package main
 
 import (
@@ -56,10 +56,8 @@ var experiments = []experiment{
 	{"fig12", "Figure 12: distributed time per iteration", fig12},
 	{"fig13", "Figure 13: knors single node vs distributed packages", fig13},
 	{"ablation", "Ablations: task size, I_cache, page size, clause mix, TI vs MTI", ablation},
-	{"serve", "Serving: simulated /assign throughput vs placement x scheduler", serveExp},
 	{"precision", "Precision: float32 vs float64 kernels, training and serving", precisionExp},
 	{"io", "Real I/O: knors on a store file, page cache x prefetch x devices", ioExp},
-	{"shardserve", "Distributed serving: centroid-sharded /assign, machines x batch x wire", shardServeExp},
 	{"failover", "Failover: replicated shard serving under a seeded kill schedule, R x kill rate", failoverExp},
 	{"kernels", "Kernels: SIMD vs pure-Go GEMM GFLOP/s, int8 quantized scan throughput", kernelsExp},
 	{"net", "Transport: ring allgather, simulated cost model vs real TCP on loopback", netExp},

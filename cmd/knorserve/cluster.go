@@ -36,8 +36,9 @@ func (s *server) handleClusterMetrics(w http.ResponseWriter, _ *http.Request) {
 type rankStats struct {
 	Rank  int  `json:"rank"`
 	Stale bool `json:"stale"`
-	// Latency quantiles: the fan-out request path on rank 0, the shard
-	// GEMM path on workers (their edge instruments are internal).
+	// Latency quantiles: rank 0's /v1/assign edge (the same numbers
+	// /v1/stats reports), the shard GEMM path on workers (their edge
+	// instruments are internal).
 	P50MS float64 `json:"p50_ms"`
 	P95MS float64 `json:"p95_ms"`
 	P99MS float64 `json:"p99_ms"`
@@ -58,18 +59,14 @@ func (s *server) handleClusterStats(w http.ResponseWriter, _ *http.Request) {
 	for _, snap := range snaps {
 		rs := rankStats{Rank: snap.Rank, Stale: snap.Stale}
 		if !snap.Stale {
-			lat := "knor_serve_gemm_seconds"
 			if snap.Rank == 0 {
-				// The coordinator's edge latency: fan-out requests in
-				// cluster/sharded mode, the plain batcher path otherwise.
-				lat = "knor_shardserve_request_seconds"
-				if famCount(snap.Families, lat) == 0 {
-					lat = "knor_serve_request_seconds"
-				}
+				rs.P50MS, rs.P95MS, rs.P99MS, _ = s.edgeLatencyMS(snap.Families)
+			} else {
+				const lat = "knor_serve_gemm_seconds"
+				rs.P50MS = famQuantile(snap.Families, lat, 0.50) * 1e3
+				rs.P95MS = famQuantile(snap.Families, lat, 0.95) * 1e3
+				rs.P99MS = famQuantile(snap.Families, lat, 0.99) * 1e3
 			}
-			rs.P50MS = famQuantile(snap.Families, lat, 0.50) * 1e3
-			rs.P95MS = famQuantile(snap.Families, lat, 0.95) * 1e3
-			rs.P99MS = famQuantile(snap.Families, lat, 0.99) * 1e3
 			rs.BytesTotal = famSum(snap.Families, "knor_net_bytes_total")
 			rs.Inflight = famSum(snap.Families, "knor_serve_inflight_requests")
 			if snap.Rank == 0 {
@@ -85,9 +82,37 @@ func (s *server) handleClusterStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ranks": ranks})
 }
 
-// famQuantile merges a histogram family's samples and returns the
-// quantile, 0 when the family is absent or empty.
+// edgeLatencyMS reads the p50, p95, p99 and mean of this process's
+// /v1/assign edge latency, in milliseconds, from the histogram family
+// that times it in fams: the fan-out edge when the server shards its
+// models over machines, the single-node batcher edge otherwise. All
+// four are 0 before the first request (JSON has no NaN). /v1/stats,
+// /v1/cluster/stats rank 0 and the -loadtest report all read it.
+func (s *server) edgeLatencyMS(fams []telemetry.SnapshotFamily) (p50, p95, p99, mean float64) {
+	name := "knor_serve_request_seconds"
+	if s.shards != nil {
+		name = "knor_shardserve_request_seconds"
+	}
+	h := famHistogram(fams, name)
+	if h.Count == 0 {
+		return 0, 0, 0, 0
+	}
+	return h.Quantile(0.50) * 1e3, h.Quantile(0.95) * 1e3, h.Quantile(0.99) * 1e3,
+		h.Sum / float64(h.Count) * 1e3
+}
+
+// famQuantile returns a histogram family's quantile q, 0 when the
+// family is absent or empty.
 func famQuantile(fams []telemetry.SnapshotFamily, name string, q float64) float64 {
+	h := famHistogram(fams, name)
+	if h.Count == 0 {
+		return 0
+	}
+	return h.Quantile(q)
+}
+
+// famHistogram merges a histogram family's samples across label sets.
+func famHistogram(fams []telemetry.SnapshotFamily, name string) telemetry.SnapshotSample {
 	var merged telemetry.SnapshotSample
 	for _, fam := range fams {
 		if fam.Name != name || fam.Kind != "histogram" {
@@ -109,24 +134,7 @@ func famQuantile(fams []telemetry.SnapshotFamily, name string, q float64) float6
 			merged.Count += sm.Count
 		}
 	}
-	if merged.Count == 0 {
-		return 0
-	}
-	return merged.Quantile(q)
-}
-
-// famCount returns a histogram family's total observation count.
-func famCount(fams []telemetry.SnapshotFamily, name string) uint64 {
-	var n uint64
-	for _, fam := range fams {
-		if fam.Name != name {
-			continue
-		}
-		for _, sm := range fam.Samples {
-			n += sm.Count
-		}
-	}
-	return n
+	return merged
 }
 
 // famSum sums a counter/gauge family's sample values across label sets.

@@ -13,6 +13,7 @@ import (
 
 	"knor/internal/kmeans"
 	"knor/internal/matrix"
+	"knor/internal/telemetry"
 	"knor/internal/workload"
 )
 
@@ -144,8 +145,9 @@ func runLoadTest(srv *server, opts loadTestOptions) error {
 	fmt.Printf("\nloadtest results (%dx%d, k=%d):\n", opts.n, opts.d, opts.k)
 	fmt.Printf("  requests:    %d ok, %d failed in %.2fs\n", ok, failures.Load(), elapsed.Seconds())
 	fmt.Printf("  throughput:  %.0f req/s (%.0f rows/s)\n", rps, rps*float64(opts.rowsPerReq))
+	p50, p95, p99, mean := srv.edgeLatencyMS(telemetry.Default.Snapshot())
 	fmt.Printf("  latency:     p50 %.3fms  p95 %.3fms  p99 %.3fms  mean %.3fms (server-side)\n",
-		st.P50*1e3, st.P95*1e3, st.P99*1e3, st.Mean*1e3)
+		p50, p95, p99, mean)
 	fmt.Printf("  batching:    %d flushes, %.1f rows/flush avg\n", st.Flushes, avgBatch(st))
 	if failures.Load() > 0 {
 		return fmt.Errorf("%d requests failed", failures.Load())

@@ -18,7 +18,7 @@
 //	POST /v1/assign          {"model","rows":[[...],...]} -> clusters + sqdists
 //	POST /v1/observe         fold rows into a model's stream updater
 //	POST /v1/publish         snapshot a stream updater into a new version
-//	GET  /v1/stats           batcher counters and p50/p95/p99 latency
+//	GET  /v1/stats           batcher counters; p50/p95/p99/mean from the edge latency histogram
 //
 // Usage:
 //

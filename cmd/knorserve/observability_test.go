@@ -13,6 +13,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"knor/internal/telemetry"
 )
 
 const createBody = `{"name":"obs","k":2,"rows":[[0,0],[0,1],[9,0],[9,1]]}`
@@ -182,7 +184,8 @@ func TestTraceSampling(t *testing.T) {
 }
 
 // TestShardedTraceSampling runs the same check through the fan-out
-// path: shard spans and the min-allreduce stage must appear.
+// path: shard spans and the argmin fold's min_allreduce span must
+// appear.
 func TestShardedTraceSampling(t *testing.T) {
 	_, ts := newTestServer(t, serverOptions{machines: 2, traceEvery: 1})
 	if code, body := postJSON(t, ts.URL+"/v1/models", createBody); code != http.StatusCreated {
@@ -264,6 +267,92 @@ func TestStatsObservabilityFields(t *testing.T) {
 	var inflight map[string]int
 	if err := json.Unmarshal(stats["inflight"], &inflight); err != nil {
 		t.Fatalf("inflight not a map: %s", stats["inflight"])
+	}
+}
+
+// edgeQuantiles is the latency part of a /v1/stats body or of one
+// /v1/cluster/stats rank.
+type edgeQuantiles struct {
+	P50MS float64 `json:"p50_ms"`
+	P95MS float64 `json:"p95_ms"`
+	P99MS float64 `json:"p99_ms"`
+}
+
+// TestStatsQuantilesMatchClusterStats: /v1/stats and /v1/cluster/stats
+// rank 0 read their latency quantiles from one source, the edge
+// histogram, so after the same requests they report the same numbers,
+// on a single node and on a sharded server.
+func TestStatsQuantilesMatchClusterStats(t *testing.T) {
+	for _, machines := range []int{1, 3} {
+		t.Run(fmt.Sprintf("machines=%d", machines), func(t *testing.T) {
+			_, ts := newTestServer(t, serverOptions{machines: machines})
+			if code, body := postJSON(t, ts.URL+"/v1/models", createBody); code != http.StatusCreated {
+				t.Fatalf("create: %d %v", code, body)
+			}
+			for i := 0; i < 20; i++ {
+				if code, _ := postJSON(t, ts.URL+"/v1/assign", `{"model":"obs","rows":[[1,1]]}`); code != http.StatusOK {
+					t.Fatal("assign failed")
+				}
+			}
+			var local edgeQuantiles
+			if code := getJSON(t, ts.URL+"/v1/stats", &local); code != http.StatusOK {
+				t.Fatalf("stats: %d", code)
+			}
+			var cluster struct {
+				Ranks []edgeQuantiles `json:"ranks"`
+			}
+			if code := getJSON(t, ts.URL+"/v1/cluster/stats", &cluster); code != http.StatusOK {
+				t.Fatalf("cluster/stats: %d", code)
+			}
+			if len(cluster.Ranks) == 0 {
+				t.Fatal("cluster/stats reports no ranks")
+			}
+			if local != cluster.Ranks[0] {
+				t.Errorf("/v1/stats quantiles %+v, /v1/cluster/stats rank 0 %+v: want identical", local, cluster.Ranks[0])
+			}
+			if local.P50MS <= 0 || local.P99MS < local.P50MS {
+				t.Errorf("latency quantiles not populated/ordered: %+v", local)
+			}
+		})
+	}
+}
+
+// TestStatsUnderTelemetryDisabled: with histograms switched off,
+// /v1/assign still answers, the edge histogram does not move, and
+// /v1/stats still encodes, its latency fields frozen.
+func TestStatsUnderTelemetryDisabled(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{})
+	if code, body := postJSON(t, ts.URL+"/v1/models", createBody); code != http.StatusCreated {
+		t.Fatalf("create: %d %v", code, body)
+	}
+	if code, _ := postJSON(t, ts.URL+"/v1/assign", `{"model":"obs","rows":[[1,1]]}`); code != http.StatusOK {
+		t.Fatal("assign failed")
+	}
+	telemetry.SetEnabled(false)
+	defer telemetry.SetEnabled(true)
+	readStats := func() map[string]any {
+		var stats map[string]any
+		if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
+			t.Fatalf("stats: %d %v", code, stats)
+		}
+		return stats
+	}
+	before := readStats()
+	edge := telemetry.Default.Histogram("knor_serve_request_seconds", "", nil)
+	observed := edge.Count()
+	for i := 0; i < 5; i++ {
+		if code, _ := postJSON(t, ts.URL+"/v1/assign", `{"model":"obs","rows":[[1,1]]}`); code != http.StatusOK {
+			t.Fatalf("assign with telemetry disabled: %d", code)
+		}
+	}
+	if got := edge.Count(); got != observed {
+		t.Errorf("edge histogram moved with telemetry disabled: %d -> %d observations", observed, got)
+	}
+	after := readStats()
+	for _, key := range []string{"p50_ms", "p95_ms", "p99_ms", "mean_ms"} {
+		if before[key] != after[key] {
+			t.Errorf("%s moved with telemetry disabled: %v -> %v", key, before[key], after[key])
+		}
 	}
 }
 

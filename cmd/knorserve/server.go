@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -784,6 +783,7 @@ func (s *server) handlePublish(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.batcher.Stats()
+	p50, p95, p99, mean := s.edgeLatencyMS(telemetry.Default.Snapshot())
 	machines := s.opts.machines
 	if machines < 1 {
 		machines = 1
@@ -797,10 +797,10 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"rows":           st.Rows,
 		"flushes":        st.Flushes,
 		"rejected":       st.Rejected,
-		"p50_ms":         nanToZero(st.P50 * 1e3),
-		"p95_ms":         nanToZero(st.P95 * 1e3),
-		"p99_ms":         nanToZero(st.P99 * 1e3),
-		"mean_ms":        st.Mean * 1e3,
+		"p50_ms":         p50,
+		"p95_ms":         p95,
+		"p99_ms":         p99,
+		"mean_ms":        mean,
 		"models":         len(s.reg.List()),
 		"avg_batch":      avgBatch(st),
 		"precision":      s.opts.precision.String(),
@@ -811,15 +811,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"snapshot_saves": serve.SnapshotSaves(),
 		"snapshot_loads": serve.SnapshotLoads(),
 	})
-}
-
-// nanToZero maps the latency recorder's empty-state NaN to 0: JSON has
-// no NaN, so writeJSON would fail to encode one and answer 500.
-func nanToZero(v float64) float64 {
-	if math.IsNaN(v) {
-		return 0
-	}
-	return v
 }
 
 func avgBatch(st serve.BatcherStats) float64 {

@@ -12,10 +12,13 @@
 //
 // Cost convention: Gather and Bcast charge pure alpha-beta wire costs;
 // the software collective-initiation setup (CostModel.NetSetup) is the
-// caller's to charge per collective. RingAllreduce and MinAllreduce
-// (minreduce.go, the serving layer's argmin merge) are the
-// self-contained collectives: they charge their own setup and book
+// caller's to charge per collective. RingAllreduce is the
+// self-contained collective: it charges its own setup and books
 // transfer time on every NIC Resource.
+//
+// The package also holds the serving layer's argmin fold (MinPair and
+// CombineMin, minreduce.go): a value-only reduction the sharded fan-out
+// runs at the coordinator, with no simulated cost.
 package cluster
 
 import (

@@ -1,25 +1,12 @@
 package cluster
 
-import (
-	"math"
-
-	"knor/internal/simclock"
-)
-
-// The min-allreduce collective: how the sharded serving layer
-// (internal/shardserve) combines per-machine (argmin, dist) pairs into
-// the global nearest centroid per query row. Two halves, mirroring the
-// package's convention that reduction *values* are computed in fixed
-// order while collectives only advance simulated time:
-//
-//   - CombineMin is the value: an elementwise min with deterministic
-//     lowest-global-index tie-breaking, associative and commutative, so
-//     folding shard answers in any arrival order gives the same result
-//     as the single-node left-to-right argmin scan.
-//   - Network.MinAllreduce is the cost: recursive doubling — the
-//     latency-optimal algorithm, the right choice for assignment
-//     payloads of a few bytes per row (contrast RingAllreduce, the
-//     bandwidth-optimal choice for the trainers' k×d accumulators).
+// The serving layer's argmin fold: the sharded fan-out
+// (internal/shardserve) folds each shard group's (argmin, dist) pairs
+// into the global nearest centroid per query row at the coordinator,
+// as the answers arrive. CombineMin is an elementwise min with
+// deterministic lowest-global-index tie-breaking, associative and
+// commutative, so folding shard answers in any arrival order gives the
+// same result as the single-node left-to-right argmin scan.
 
 // MinPair is one query row's running reduction state: the global index
 // of the nearest centroid seen so far and its raw (unclamped) squared
@@ -47,52 +34,4 @@ func CombineMin(dst, src []MinPair) {
 			dst[i] = s
 		}
 	}
-}
-
-// MinPairBytes returns the wire size of n (argmin, dist) pairs at the
-// given distance element width (4 for float32 serving, 8 for float64):
-// a 4-byte global centroid index plus the distance per row.
-func MinPairBytes(n, elemBytes int) int { return n * (4 + elemBytes) }
-
-// MinAllreduceCost is the collective's closed-form duration for a
-// payload of `bytes` over m machines:
-//
-//	NetSetup + ⌈log₂m⌉ · (NetLatency + bytes/NetBandwidth)
-//
-// Zero for a single machine. Both Network.MinAllreduce and the serving
-// pipeline simulation (shardserve.SimulateShardServe) derive their
-// reduce-stage timing from this one formula, so the two cost models
-// cannot drift apart.
-func MinAllreduceCost(model simclock.CostModel, m, bytes int) float64 {
-	if m <= 1 {
-		return 0
-	}
-	r := math.Ceil(math.Log2(float64(m)))
-	return model.NetSetup + r*(model.NetLatency+float64(bytes)/model.NetBandwidth)
-}
-
-// MinAllreduce reduces `bytes` of (argmin, dist) pairs across all
-// machines with recursive doubling: ⌈log₂M⌉ rounds, each a pairwise
-// exchange of the full payload. Like RingAllreduce it is
-// self-contained — it charges its own NetSetup and books transfer time
-// on every NIC (all machines send and receive in every round) — and it
-// synchronises every machine at the returned completion time. A single
-// machine pays nothing.
-func (n *Network) MinAllreduce(bytes int) float64 {
-	start := n.maxClock()
-	t := start + MinAllreduceCost(n.Model, n.M, bytes)
-	if n.M > 1 {
-		xfer := float64(bytes) / n.Model.NetBandwidth
-		at := start + n.Model.NetSetup
-		for s := 0; s < n.rounds(); s++ {
-			for i := range n.nics {
-				n.nics[i].Acquire(at, xfer)
-			}
-			at += n.Model.NetLatency + xfer
-		}
-	}
-	for i := range n.clocks {
-		n.clocks[i].Reset(t)
-	}
-	return t
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"knor/internal/simclock"
 )
 
 func TestCombineMin(t *testing.T) {
@@ -68,63 +66,6 @@ func TestCombineMinAssociative(t *testing.T) {
 	}
 	if want[0] != (MinPair{Index: 0, Dist: 3}) || want[1] != (MinPair{Index: 1, Dist: 1}) {
 		t.Fatalf("unexpected fold result %+v", want)
-	}
-}
-
-func TestMinPairBytes(t *testing.T) {
-	if got := MinPairBytes(100, 8); got != 1200 {
-		t.Errorf("MinPairBytes(100, 8) = %d, want 1200", got)
-	}
-	if got := MinPairBytes(3, 4); got != 24 {
-		t.Errorf("MinPairBytes(3, 4) = %d, want 24", got)
-	}
-}
-
-func TestMinAllreduceCost(t *testing.T) {
-	model := simclock.DefaultCostModel()
-	const bytes = 12000
-
-	// Single machine: free, clock unchanged.
-	n1 := New(1, model)
-	n1.Clock(0).Advance(3)
-	if got := n1.MinAllreduce(bytes); got != 3 {
-		t.Errorf("M=1: completion %g, want 3", got)
-	}
-
-	// The closed form shared with the serving simulation.
-	if got := MinAllreduceCost(model, 1, bytes); got != 0 {
-		t.Errorf("MinAllreduceCost(M=1) = %g, want 0", got)
-	}
-	wantCost := model.NetSetup + 2*(model.NetLatency+bytes/model.NetBandwidth)
-	if got := MinAllreduceCost(model, 4, bytes); math.Abs(got-wantCost) > 1e-15 {
-		t.Errorf("MinAllreduceCost(M=4) = %g, want %g", got, wantCost)
-	}
-
-	// Four machines, skewed clocks: recursive doubling runs
-	// ceil(log2(4)) = 2 rounds from the latest machine, plus setup.
-	n4 := New(4, model)
-	n4.Clock(2).Advance(1)
-	want := 1 + MinAllreduceCost(model, 4, bytes)
-	got := n4.MinAllreduce(bytes)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("M=4: completion %g, want %g", got, want)
-	}
-	for i := 0; i < 4; i++ {
-		if n4.Clock(i).Now() != got {
-			t.Errorf("machine %d not synchronised: %g vs %g", i, n4.Clock(i).Now(), got)
-		}
-		if n4.NIC(i).BusyTime() == 0 {
-			t.Errorf("machine %d NIC booked no transfer time", i)
-		}
-	}
-
-	// The latency-optimal recursive doubling must beat the ring on a
-	// small payload at M=4 (the reason the serving path uses it): 2
-	// latency terms against the ring's 6.
-	ring := New(4, model)
-	ringCost := ring.RingAllreduce(bytes)
-	if minCost := got - 1; minCost >= ringCost {
-		t.Errorf("min-allreduce cost %g should beat ring cost %g on small payloads", minCost, ringCost)
 	}
 }
 

@@ -1,18 +1,13 @@
 package netcluster
 
-import (
-	"fmt"
-	"math"
-
-	"knor/internal/cluster"
-)
+import "fmt"
 
 // Real collectives over the Transport seam. The movement patterns are
-// the classic ones (ring allgather, hub gather, allgather'd argmin
-// fold); the *values* follow the package parity discipline — every
-// reduction folds contributions in fixed rank order 0..M-1, matching
-// internal/dist's simulated collective, so the result bits never
-// depend on message arrival order.
+// the classic ones (ring allgather, hub gather); the *values* follow
+// the package parity discipline — every reduction folds contributions
+// in fixed rank order 0..M-1, matching internal/dist's simulated
+// collective, so the result bits never depend on message arrival
+// order.
 
 // Allgather runs a ring allgather: every rank contributes one opaque
 // block and receives every rank's block, returned indexed by origin
@@ -88,98 +83,4 @@ func Gather(t Transport, root int, typ, elem byte, seq uint32, mine []byte) ([][
 		blocks[from] = f.Payload
 	}
 	return blocks, nil
-}
-
-// Bcast sends root's block to every rank and returns it (root passes
-// its own block through). A flat root-to-all fan-out: the payloads this
-// repo broadcasts (convergence verdicts, plans) are tiny, so latency
-// optimality matters less than determinism.
-func Bcast(t Transport, root int, typ, elem byte, seq uint32, mine []byte) ([]byte, error) {
-	m, r := t.Size(), t.Rank()
-	if r == root {
-		for to := 0; to < m; to++ {
-			if to == root {
-				continue
-			}
-			if err := t.Send(to, &Frame{Type: typ, Elem: elem, Seq: seq, Payload: mine}); err != nil {
-				return nil, fmt.Errorf("netcluster: bcast send to rank %d: %w", to, err)
-			}
-		}
-		return mine, nil
-	}
-	f, err := t.Recv(root)
-	if err != nil {
-		return nil, fmt.Errorf("netcluster: bcast recv: %w", err)
-	}
-	if f.Type != typ || f.Seq != seq {
-		return nil, fmt.Errorf("netcluster: bcast: got frame type=%d seq=%d, want type=%d seq=%d",
-			f.Type, f.Seq, typ, seq)
-	}
-	return f.Payload, nil
-}
-
-// MinAllreduce folds per-rank (argmin, dist) pairs into the global
-// argmin on every rank, in place. CombineMin is associative and
-// commutative (comparisons with a deterministic lowest-index
-// tie-break), but the fold still walks ranks 0..M-1 in order, keeping
-// the package's one parity discipline everywhere.
-func MinAllreduce(t Transport, seq uint32, pairs []cluster.MinPair) error {
-	if t.Size() == 1 {
-		return nil
-	}
-	blocks, err := Allgather(t, FrameMinPairs, 8, seq, EncodeMinPairs(nil, pairs))
-	if err != nil {
-		return err
-	}
-	acc := make([]cluster.MinPair, len(pairs))
-	for i := range acc {
-		acc[i].Index = -1
-	}
-	scratch := make([]cluster.MinPair, len(pairs))
-	for r := 0; r < t.Size(); r++ {
-		if err := DecodeMinPairs(blocks[r], scratch); err != nil {
-			return fmt.Errorf("netcluster: min-allreduce block from rank %d: %w", r, err)
-		}
-		cluster.CombineMin(acc, scratch)
-	}
-	copy(pairs, acc)
-	return nil
-}
-
-// EncodeMinPairs appends pairs to dst: count, then per pair the global
-// centroid index (int32) and the exact float64 distance bits.
-func EncodeMinPairs(dst []byte, pairs []cluster.MinPair) []byte {
-	dst = AppendUint32(dst, uint32(len(pairs)))
-	for _, p := range pairs {
-		dst = AppendUint32(dst, uint32(p.Index))
-		dst = AppendUint64(dst, math.Float64bits(p.Dist))
-	}
-	return dst
-}
-
-// DecodeMinPairs decodes into out; the encoded count must match
-// len(out) — a length disagreement means the ranks are answering
-// different batches and is an error, not a truncation.
-func DecodeMinPairs(b []byte, out []cluster.MinPair) error {
-	n, err := Uint32At(b, 0)
-	if err != nil {
-		return err
-	}
-	if int(n) != len(out) {
-		return fmt.Errorf("%w: %d pairs encoded, %d expected", ErrShortPayload, n, len(out))
-	}
-	off := 4
-	for i := range out {
-		idx, err := Uint32At(b, off)
-		if err != nil {
-			return err
-		}
-		bits, err := Uint64At(b, off+4)
-		if err != nil {
-			return err
-		}
-		out[i] = cluster.MinPair{Index: int32(idx), Dist: math.Float64frombits(bits)}
-		off += 12
-	}
-	return nil
 }

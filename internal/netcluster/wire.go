@@ -102,7 +102,9 @@ const (
 	FrameAccum
 	// FrameGather carries a rank's final assignments to rank 0.
 	FrameGather
-	// FrameMinPairs carries (argmin, dist) pairs for the min-allreduce.
+	// FrameMinPairs is retired: nothing sends it. It keeps its slot so
+	// FramePulse and every later frame type keep their numbers on the
+	// wire.
 	FrameMinPairs
 	// FramePulse is a liveness heartbeat (empty payload).
 	FramePulse

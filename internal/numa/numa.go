@@ -212,30 +212,15 @@ func NewMachine(topo Topology, model simclock.CostModel) *Machine {
 // Link returns the interconnect link into node n's memory bank.
 func (m *Machine) Link(n int) *simclock.Resource { return m.links[n] }
 
-// Touch charges worker clock c for reading `bytes` bytes that live on
-// node owner, from a worker bound to node at. Local reads stream from
-// the local bank at LocalBandwidth with no queuing (local banks have
-// enough channels for their own cores); remote reads pay latency plus a
-// serialised transfer through the owning node's link.
-func (m *Machine) Touch(c *simclock.Clock, at, owner int, bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	if at == owner {
-		c.Advance(float64(bytes) / m.Model.LocalBandwidth)
-		m.addStats(uint64(bytes), 0)
-		return
-	}
-	dur := float64(bytes) / m.Model.RemoteBandwidth
-	end := m.links[owner].Acquire(c.Now()+m.Model.RemoteLatency, dur)
-	c.AdvanceTo(end)
-	m.addStats(0, uint64(bytes))
-}
-
-// TouchAsync is Touch without advancing a clock: it returns the time
-// the transfer finishes if issued at start. Engines that overlap
-// streamed reads with computation (hardware prefetch hides transfer
-// behind the distance kernel) take max(computeEnd, TouchAsync(...)).
+// TouchAsync charges a read of `bytes` bytes that live on node owner,
+// issued at simulated time start from a worker bound to node at, and
+// returns the time the transfer finishes. Local reads stream from the
+// local bank at LocalBandwidth with no queuing (local banks have enough
+// channels for their own cores); remote reads pay latency plus a
+// serialised transfer through the owning node's link. No clock is
+// advanced: engines that overlap streamed reads with computation
+// (hardware prefetch hides transfer behind the distance kernel) take
+// max(computeEnd, TouchAsync(...)).
 func (m *Machine) TouchAsync(start float64, at, owner int, bytes int) float64 {
 	if bytes <= 0 {
 		return start

@@ -132,12 +132,8 @@ func TestPlacementString(t *testing.T) {
 func TestMachineTouchLocalVsRemote(t *testing.T) {
 	model := simclock.DefaultCostModel()
 	m := NewMachine(Topology{Nodes: 2, CoresPerNode: 2}, model)
-	var c simclock.Clock
-	m.Touch(&c, 0, 0, 1<<20) // local
-	localT := c.Now()
-	c.Reset(0)
-	m.Touch(&c, 0, 1, 1<<20) // remote
-	remoteT := c.Now()
+	localT := m.TouchAsync(0, 0, 0, 1<<20)  // local
+	remoteT := m.TouchAsync(0, 0, 1, 1<<20) // remote
 	if remoteT <= localT {
 		t.Fatalf("remote %g not slower than local %g", remoteT, localT)
 	}
@@ -154,10 +150,9 @@ func TestMachineRemoteContention(t *testing.T) {
 	m := NewMachine(Topology{Nodes: 2, CoresPerNode: 2}, model)
 	bytes := 1 << 20
 	per := float64(bytes) / model.RemoteBandwidth
-	var c1, c2 simclock.Clock
-	m.Touch(&c1, 0, 1, bytes)
-	m.Touch(&c2, 0, 1, bytes)
-	latest := math.Max(c1.Now(), c2.Now())
+	e1 := m.TouchAsync(0, 0, 1, bytes)
+	e2 := m.TouchAsync(0, 0, 1, bytes)
+	latest := math.Max(e1, e2)
 	if latest < 2*per {
 		t.Fatalf("contended remote reads overlapped: %g < %g", latest, 2*per)
 	}
@@ -165,17 +160,14 @@ func TestMachineRemoteContention(t *testing.T) {
 
 func TestMachineTouchZeroBytes(t *testing.T) {
 	m := NewMachine(DefaultTopology(), simclock.DefaultCostModel())
-	var c simclock.Clock
-	m.Touch(&c, 0, 3, 0)
-	if c.Now() != 0 {
-		t.Fatal("zero-byte touch advanced the clock")
+	if end := m.TouchAsync(0, 0, 3, 0); end != 0 {
+		t.Fatalf("zero-byte touch took time: ends at %g", end)
 	}
 }
 
 func TestMachineResetStats(t *testing.T) {
 	m := NewMachine(DefaultTopology(), simclock.DefaultCostModel())
-	var c simclock.Clock
-	m.Touch(&c, 0, 1, 100)
+	m.TouchAsync(0, 0, 1, 100)
 	m.ResetStats()
 	l, r := m.Traffic()
 	if l != 0 || r != 0 {
@@ -193,9 +185,9 @@ func TestMachineConcurrentTouch(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var c simclock.Clock
+			at := 0.0
 			for i := 0; i < 100; i++ {
-				m.Touch(&c, w%4, (w+1)%4, 64)
+				at = m.TouchAsync(at, w%4, (w+1)%4, 64)
 			}
 		}(w)
 	}

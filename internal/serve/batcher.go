@@ -65,17 +65,15 @@ func (o BatcherOptions) withDefaults() BatcherOptions {
 	return o
 }
 
-// BatcherStats summarises the assignment path's behaviour.
+// BatcherStats counts the assignment path's work. Request latency goes
+// to the edge's registered histogram instead: knor_serve_request_seconds,
+// or knor_shardserve_request_seconds at a fan-out edge.
 type BatcherStats struct {
-	Requests uint64  // Assign/AssignBatch calls answered
-	Rows     uint64  // query rows answered
-	Flushes  uint64  // blocked distance computations performed
-	Rejected uint64  // requests refused by the per-model quota
-	Queued   int     // rows waiting for the next flush right now
-	P50      float64 // request latency quantiles, seconds
-	P95      float64
-	P99      float64
-	Mean     float64
+	Requests uint64 // Assign/AssignBatch calls answered
+	Rows     uint64 // query rows answered
+	Flushes  uint64 // blocked distance computations performed
+	Rejected uint64 // requests refused by the per-model quota
+	Queued   int    // rows waiting for the next flush right now
 }
 
 // pendingReq is one waiter: a set of rows against one model, answered
@@ -111,7 +109,6 @@ type batchAnswer struct {
 type BatcherOf[T blas.Float] struct {
 	reg  *Registry
 	opts BatcherOptions
-	lat  *telemetry.Latency
 
 	mu       sync.Mutex
 	queue    []pendingReq[T]
@@ -144,16 +141,9 @@ func NewBatcher(reg *Registry, opts BatcherOptions) *Batcher {
 // NewBatcherOf starts the assignment path at element type T over a
 // registry. Close it to stop the background flusher.
 func NewBatcherOf[T blas.Float](reg *Registry, opts BatcherOptions) *BatcherOf[T] {
-	lat := telemetry.NewLatency(1)
-	if !opts.Shard {
-		// The edge's reservoir (exact Stats quantiles) mirrors into the
-		// registered histogram so /metrics reports the same stream.
-		lat.Mirror(telRequestSeconds)
-	}
 	b := &BatcherOf[T]{
 		reg:      reg,
 		opts:     opts.withDefaults(),
-		lat:      lat,
 		inflight: map[string]int{},
 		work:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
@@ -242,10 +232,10 @@ func (b *BatcherOf[T]) AssignBatchTraced(model string, rows *matrix.Mat[T], tr *
 		tr.Span("reply", ans.done, time.Now())
 		b.opts.Tracer.Done(tr)
 	}
-	b.lat.Observe(time.Since(req.start).Seconds())
 	b.requests.Inc()
 	b.rows.Add(uint64(rows.Rows()))
 	if !b.opts.Shard {
+		telRequestSeconds.Observe(time.Since(req.start).Seconds())
 		telRequests.Inc()
 		telRows.Add(uint64(rows.Rows()))
 	}
@@ -271,7 +261,7 @@ func signal(c chan struct{}) {
 	}
 }
 
-// Stats reports counters and latency quantiles.
+// Stats reports the batcher's counters and current queue depth.
 func (b *BatcherOf[T]) Stats() BatcherStats {
 	st := BatcherStats{
 		Requests: b.requests.Load(), Rows: b.rows.Load(),
@@ -280,10 +270,6 @@ func (b *BatcherOf[T]) Stats() BatcherStats {
 	b.mu.Lock()
 	st.Queued = b.queued
 	b.mu.Unlock()
-	st.P50 = b.lat.Quantile(0.50)
-	st.P95 = b.lat.Quantile(0.95)
-	st.P99 = b.lat.Quantile(0.99)
-	st.Mean = b.lat.Mean()
 	return st
 }
 

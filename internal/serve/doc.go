@@ -2,7 +2,7 @@
 // batch trainers (knori/knors/knord) into a system that answers live
 // queries and keeps learning.
 //
-// Four pieces compose it:
+// Three pieces compose it:
 //
 //   - Registry — named, versioned centroid sets. Publishing clones the
 //     centroids into an immutable Model snapshot (copy-on-write), so
@@ -10,14 +10,11 @@
 //     block a trainer.
 //   - Batcher — the assignment path. Concurrent Assign calls are
 //     coalesced into one blocked ‖v‖²+‖c‖²−2·V·Cᵀ distance computation
-//     through internal/blas, amortising per-request overhead; per-request
-//     latency feeds an internal/metrics recorder (p50/p99).
+//     through internal/blas, amortising per-request overhead; each
+//     request's latency is observed into the registered
+//     knor_serve_request_seconds histogram, the source of /metrics and
+//     of knorserve's /v1/stats quantiles.
 //   - StreamEngine — the updater. Incoming observations fold into a
 //     kmeans.MiniBatchState with per-centroid learning rates, forever;
 //     explicit state makes checkpoint/resume exact.
-//   - router (SimulateServe) — a NUMA-aware request router over
-//     internal/sched + internal/numa: per-model worker shards pinned to
-//     simulated NUMA nodes, so serve throughput can be compared across
-//     placement and scheduling policies the same way Figure 5 compares
-//     the trainers.
 package serve

@@ -27,10 +27,8 @@ type Model struct {
 	PublishedAt time.Time
 	// Node is the simulated NUMA node the model's shard is pinned to,
 	// assigned round-robin at first publish and stable across
-	// versions. It is surfaced by the serving API and honoured by the
-	// router when RouterConfig.UseRegistryPins is set (otherwise the
-	// router re-pins under its own placement policy for the
-	// placement-sweep experiments).
+	// versions. It is surfaced by the serving API and kept in the
+	// snapshot format; nothing in the serving path reads it.
 	Node int
 	// Elem is the canonical element width of the published payload: 8
 	// for float64 publishes (Centroids is the source of truth), 4 for

@@ -57,7 +57,6 @@ type AssignerOf[T blas.Float] struct {
 	sr   *ShardRegistry
 	bats []*serve.BatcherOf[T]
 	opts serve.BatcherOptions
-	lat  *telemetry.Latency
 
 	mu       sync.Mutex
 	inflight map[string]int
@@ -78,7 +77,6 @@ func NewAssignerOf[T blas.Float](sr *ShardRegistry, opts serve.BatcherOptions) *
 	a := &AssignerOf[T]{
 		sr:       sr,
 		opts:     opts,
-		lat:      telemetry.NewLatency(1).Mirror(telRequestSeconds),
 		inflight: map[string]int{},
 	}
 	a.bats = make([]*serve.BatcherOf[T], sr.Machines())
@@ -165,7 +163,7 @@ func (a *AssignerOf[T]) AssignBatch(model string, rows *matrix.Mat[T]) ([]serve.
 			done := time.Now()
 			tr.Span("reply", done, done)
 			a.opts.Tracer.Done(tr)
-			a.lat.Observe(done.Sub(start).Seconds())
+			telRequestSeconds.Observe(done.Sub(start).Seconds())
 			a.requests.Inc()
 			a.rows.Add(uint64(rows.Rows()))
 			telRequests.Inc()
@@ -357,10 +355,10 @@ func (a *AssignerOf[T]) AssignRows(model string, rows *matrix.Dense) ([]serve.As
 	return a.AssignBatch(model, matrix.Convert[T](rows))
 }
 
-// Stats aggregates the fan-out edge's counters and latency quantiles
-// with the shard batchers' flush counts. Every request is replicated
-// to all shards, so Flushes and Queued report the busiest shard (the
-// logical flush/queue count), not the M-inflated sum — avg_batch and
+// Stats aggregates the fan-out edge's counters with the shard
+// batchers' flush counts. Every request is replicated to all shards,
+// so Flushes and Queued report the busiest shard (the logical
+// flush/queue count), not the M-inflated sum — avg_batch and
 // queue-depth readings stay comparable with the single-node batcher.
 func (a *AssignerOf[T]) Stats() serve.BatcherStats {
 	st := serve.BatcherStats{
@@ -377,10 +375,6 @@ func (a *AssignerOf[T]) Stats() serve.BatcherStats {
 			st.Queued = bst.Queued
 		}
 	}
-	st.P50 = a.lat.Quantile(0.50)
-	st.P95 = a.lat.Quantile(0.95)
-	st.P99 = a.lat.Quantile(0.99)
-	st.Mean = a.lat.Mean()
 	return st
 }
 

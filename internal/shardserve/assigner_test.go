@@ -8,6 +8,7 @@ import (
 
 	"knor/internal/matrix"
 	"knor/internal/serve"
+	"knor/internal/telemetry"
 )
 
 func TestAssignerUnknownModel(t *testing.T) {
@@ -149,6 +150,10 @@ func TestAssignerStats(t *testing.T) {
 	}
 	a := NewAssignerOf[float32](sr, serve.BatcherOptions{})
 	defer a.Close()
+	// The single-node edge's histogram: shard batchers must leave it
+	// alone, so a fan-out is timed once, at the fan-out edge.
+	singleEdge := telemetry.Default.Histogram("knor_serve_request_seconds", "", nil)
+	fanout, single := telRequestSeconds.Count(), singleEdge.Count()
 	rows := matrix.NewDense(5, 4)
 	if _, err := a.AssignRows("m", rows); err != nil {
 		t.Fatal(err)
@@ -160,7 +165,10 @@ func TestAssignerStats(t *testing.T) {
 	if st.Flushes == 0 {
 		t.Error("no shard flushes recorded")
 	}
-	if st.P50 <= 0 {
-		t.Error("latency quantiles not recorded")
+	if got := telRequestSeconds.Count() - fanout; got != 1 {
+		t.Errorf("knor_shardserve_request_seconds observed %d requests, want 1", got)
+	}
+	if got := singleEdge.Count() - single; got != 0 {
+		t.Errorf("knor_serve_request_seconds observed %d requests from shard batchers, want 0", got)
 	}
 }

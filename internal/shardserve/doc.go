@@ -1,12 +1,13 @@
 // Package shardserve is the distributed serving layer: one model's k
-// centroids sharded across M simulated machines, /assign batches
-// fanned out to every shard and merged by a min-allreduce — the
-// paper's scale-out story (knord's row-sharded cluster) applied to the
-// online path (the serve layer's batched GEMM assigner), so query
-// throughput is no longer bound by one machine's GEMM rate or one
-// machine's memory for k×d centroids.
+// centroids sharded across M machines (simulated in-process, or real
+// worker processes), /assign batches fanned out to every shard and the
+// shards' answers folded into the global argmin at the coordinator as
+// they arrive — the paper's scale-out story (knord's row-sharded
+// cluster) applied to the online path (the serve layer's batched GEMM
+// assigner), so query throughput is no longer bound by one machine's
+// GEMM rate or one machine's memory for k×d centroids.
 //
-// Three pieces compose it:
+// Two pieces compose it:
 //
 //   - ShardRegistry — M per-machine serve.Registry instances kept in
 //     lockstep: publishing a model splits its centroid rows into
@@ -29,11 +30,4 @@
 //     single-node ascending argmin scan does, and the blas kernels
 //     guarantee a centroid block sliced out of a larger matrix
 //     produces bit-identical distances at both widths.
-//   - SimulateShardServe — the cost model. A closed-loop pipeline
-//     over simclock resources (router NIC, per-machine CPUs and NICs)
-//     charging query serialisation (SerializeByteCost), a binomial
-//     fan-out bcast, the per-shard GEMM, and the recursive-doubling
-//     min-allreduce (NetSetup + ⌈log₂M⌉·(α+B/β)); batches pipeline,
-//     so machine b+1's GEMM overlaps batch b's reduction. DESIGN.md
-//     records the formulas, knorbench -exp shardserve the sweep.
 package shardserve

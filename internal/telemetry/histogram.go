@@ -27,10 +27,12 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bs, counts: make([]atomic.Uint64, len(bs)+1)}
 }
 
-// DefLatencyBuckets covers the serving path's dynamic range: 50µs
-// request latencies up to multi-second tail stalls.
+// DefLatencyBuckets covers the serving path's dynamic range: 1µs
+// in-process requests (a small batch answered without the HTTP edge)
+// up to multi-second tail stalls.
 func DefLatencyBuckets() []float64 {
 	return []float64{
+		1e-6, 2.5e-6, 5e-6, 10e-6, 25e-6,
 		50e-6, 100e-6, 250e-6, 500e-6,
 		1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3,
 		250e-3, 500e-3, 1, 2.5,

@@ -161,6 +161,32 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestDefLatencyBucketsResolveMicroseconds pins the low end of the
+// serving latency buckets: 300 in-process requests spread over 4–12 µs
+// read a p50 in the bucket that holds their exact nearest-rank p50,
+// not the midpoint of one wide first bucket.
+func TestDefLatencyBucketsResolveMicroseconds(t *testing.T) {
+	h := NewHistogram(DefLatencyBuckets())
+	vals := make([]float64, 300)
+	for i := range vals {
+		vals[i] = 4e-6 + 8e-6*float64(i)/float64(len(vals)-1)
+		h.Observe(vals[i])
+	}
+	exact := vals[int(math.Ceil(0.5*float64(len(vals))))-1] // ascending
+	bucket := func(v float64) int {
+		i := 0
+		for i < len(h.Bounds()) && v > h.Bounds()[i] {
+			i++
+		}
+		return i
+	}
+	got := snapshotHist(h, nil).Quantile(0.5)
+	if bucket(got) != bucket(exact) || got >= 12e-6 {
+		t.Fatalf("p50 = %.3gs (bucket %d), exact p50 = %.3gs (bucket %d); want the same bucket, below 12µs",
+			got, bucket(got), exact, bucket(exact))
+	}
+}
+
 // TestSetEnabledGatesHistograms proves the disabled mode: histogram
 // observations and trace sampling stop, counters keep counting (their
 // cost predates this package, so disabled ~= the old baseline).

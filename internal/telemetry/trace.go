@@ -16,9 +16,10 @@ type Stage struct {
 }
 
 // Trace captures one sampled request's lifecycle as a flat span list
-// (enqueue → batch coalesce → GEMM → shard fan-out → min-allreduce →
-// reply). A nil *Trace is the not-sampled case and every method on it
-// is a no-op, so hot paths call unconditionally.
+// (enqueue → batch coalesce → GEMM → shard fan-out → the coordinator's
+// argmin fold, span min_allreduce → reply). A nil *Trace is the
+// not-sampled case and every method on it is a no-op, so hot paths
+// call unconditionally.
 type Trace struct {
 	ID    uint64
 	Begin time.Time

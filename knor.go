@@ -19,8 +19,8 @@
 // observations into a model while it serves. NewShardedAssigner scales
 // that layer out: a model's centroids sharded across simulated
 // machines (knord's row-sharding applied to the online path), queries
-// fanned out and merged by a min-allreduce, bit-identical to the
-// single-node assigner.
+// fanned out and each shard's answer folded into the global argmin as
+// it arrives, bit-identical to the single-node assigner.
 //
 // Hardware-gated effects (thread pinning, NUMA banks, SSD arrays,
 // cluster NICs) run through a deterministic simulated-cost layer — Go
@@ -353,10 +353,6 @@ type (
 	// count, replicas per shard group, and an optional membership
 	// layer that triggers self-healing re-placement.
 	ShardOptions = shardserve.Options
-	// ShardSimConfig drives a simulated sharded-serving epoch.
-	ShardSimConfig = shardserve.SimConfig
-	// ShardSimStats summarises a simulated sharded-serving epoch.
-	ShardSimStats = shardserve.SimStats
 	// ChaosConfig drives a seeded kill-schedule run against a
 	// replicated shard registry (see RunChaos).
 	ChaosConfig = shardserve.ChaosConfig
@@ -422,14 +418,6 @@ func NewReplicatedShardRegistry(sopts ShardOptions) *ShardRegistry {
 // produce identical schedules and stats — the replay knob behind
 // `make chaos-smoke`.
 func RunChaos(cfg ChaosConfig) (ChaosStats, error) { return shardserve.RunChaos(cfg) }
-
-// SimulateShardServe runs the sharded /assign fan-out pipeline in
-// simulated time (router serialisation, binomial bcast, per-shard
-// GEMM, recursive-doubling min-allreduce) and reports throughput and
-// per-batch latency quantiles.
-func SimulateShardServe(cfg ShardSimConfig) (ShardSimStats, error) {
-	return shardserve.SimulateShardServe(cfg)
-}
 
 // --- clustering quality metrics ----------------------------------------
 
