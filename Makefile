@@ -32,9 +32,10 @@ bench-precision:
 	$(GO) test -run=NONE -bench='ServeAssign' -benchtime=20x ./internal/serve
 
 # EXPERIMENTS.md's Kernels table: SIMD vs pure-Go GEMM GFLOP/s at both
-# element widths, the int8 quantized scan and the row-distance kernel's
-# ns per distance, with the machine-readable report (including the
-# float32 asm/go speedup on the acceptance shape) in BENCH_kernels.json.
+# element widths, the int8 quantized scan, the row-distance kernel's
+# ns per distance and the float64 serving flush's µs by both paths,
+# with the machine-readable report (including the float32 asm/go
+# speedup on the acceptance shape) in BENCH_kernels.json.
 bench-kernels:
 	$(GO) run ./cmd/knorbench -exp kernels -json BENCH_kernels.json
 
@@ -48,13 +49,19 @@ test-noasm:
 
 # 10 s coverage-guided runs of the fuzz targets (mirrors CI; `go test`
 # alone only replays their seeds): the /v1/assign body decoder against
-# encoding/json, the netcluster frame codec, and the SIMD GEMM and
-# row-distance kernels against the pure-Go loops.
+# encoding/json, the netcluster frame codec, the SIMD GEMM and
+# row-distance kernels against the pure-Go loops, and the block-free
+# float64 flush against Dgemm + scan. Minimizing a new input may take
+# 60 s by default, which stalls a 10 s run on a large seed (the d32
+# assign body), so each minimization gets 100 executions; a failing
+# input is still reported, only less minimized.
+FUZZ = -run '^$$' -fuzztime 10s -fuzzminimizetime 100x
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzAssignBody$$' -fuzztime 10s ./cmd/knorserve
-	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/netcluster
-	$(GO) test -run '^$$' -fuzz '^FuzzDgemmAsmParity$$' -fuzztime 10s ./internal/blas
-	$(GO) test -run '^$$' -fuzz '^FuzzSqDistRowsParity$$' -fuzztime 10s ./internal/blas
+	$(GO) test $(FUZZ) -fuzz '^FuzzAssignBody$$' ./cmd/knorserve
+	$(GO) test $(FUZZ) -fuzz '^FuzzReadFrame$$' ./internal/netcluster
+	$(GO) test $(FUZZ) -fuzz '^FuzzDgemmAsmParity$$' ./internal/blas
+	$(GO) test $(FUZZ) -fuzz '^FuzzSqDistRowsParity$$' ./internal/blas
+	$(GO) test $(FUZZ) -fuzz '^FuzzNearestRowsParity$$' ./internal/blas
 
 # Full figure sweeps (smaller -quick variants; drop -quick for the
 # complete scale-reduced reproduction).

@@ -3,8 +3,9 @@ package main
 // Kernels experiment: GFLOP/s of the Dgemm microkernels at both
 // element widths with the assembly path on and off (same binary — the
 // dispatch switch flips at runtime), the int8 quantized centroid-scan
-// kernel's throughput, and ns per distance of the exact row-distance
-// kernel training's dense scans run. With -json the measurements also
+// kernel's throughput, ns per distance of the exact row-distance kernel
+// training's dense scans run, and µs per float64 serving flush by the
+// block-free path and by Dgemm + scan. With -json the measurements also
 // land in a machine-readable file (the bench-kernels Makefile target
 // writes BENCH_kernels.json), including the float32 asm/go speedup on
 // the acceptance shape.
@@ -49,6 +50,19 @@ type distRowsResult struct {
 	NsPerDist float64 `json:"ns_per_dist"`
 }
 
+// nearestResult is one float64 serving flush in the JSON report: m query
+// rows against a k×d model, answered by the block-free path
+// (blas.NearestRows over a prebuilt panel, "panel") or by Dgemm into a
+// zeroed m×k block and a scan ("gemm"), in µs per flush.
+type nearestResult struct {
+	Path       string  `json:"path"`   // panel | gemm
+	Kernel     string  `json:"kernel"` // go | avx2fma | neon
+	M          int     `json:"m"`
+	K          int     `json:"k"`
+	D          int     `json:"d"`
+	UsPerFlush float64 `json:"us_per_flush"`
+}
+
 // kernelsReport is the BENCH_kernels.json schema.
 type kernelsReport struct {
 	// Kernel is the assembly flavour compiled in ("go" when the binary
@@ -61,6 +75,7 @@ type kernelsReport struct {
 	Gemm       []kernelResult   `json:"gemm"`
 	Quantized  []quantResult    `json:"quantized"`
 	DistRows   []distRowsResult `json:"dist_rows"`
+	Nearest    []nearestResult  `json:"nearest"`
 }
 
 // gemmShapes: the acceptance shape first (1M x 16 by k=100 — the
@@ -78,6 +93,15 @@ var gemmShapes = []struct{ m, d, k int }{
 var distRowsShapes = []struct{ rows, d, k int }{
 	{50_000, 16, 100},
 	{2_000, 32, 1000},
+}
+
+// nearestShapes are the benchmark's float64 flushes: a d16 request (4
+// rows, k=100, d=16), a d32 request (64 rows, k=1000, d=32) and a d32
+// request at one of the cluster's two shards (k=500).
+var nearestShapes = []struct{ m, k, d int }{
+	{4, 100, 16},
+	{64, 1000, 32},
+	{64, 500, 32},
 }
 
 func kernelsExp(e env) {
@@ -192,6 +216,64 @@ func kernelsExp(e env) {
 		}
 	}
 	printTable([]string{"SqDistRows", "kernel", "ns/dist"}, rows)
+
+	// One float64 serving flush, single-threaded, block-free against
+	// the m×k block it replaced. arm64 has no argmin kernel, so there
+	// the panel rows time the NEON tile with the Go scan.
+	rows = nil
+	for _, sh := range nearestShapes {
+		all := workload.Generate(workload.Spec{Kind: workload.UniformMultivariate, N: sh.m + sh.k, D: sh.d, Seed: int64(sh.k)})
+		a, cents := all.Data[:sh.m*sh.d], all.Data[sh.m*sh.d:]
+		normsSq := make([]float64, sh.k)
+		blas.RowNormsSq(cents, sh.k, sh.d, normsSq)
+		var panel blas.Panel
+		panel.Build(cents, sh.k, sh.d)
+		best, idx := make([]float64, sh.m), make([]int32, sh.m)
+		block, an := make([]float64, sh.m*sh.k), make([]float64, sh.m)
+		gemmScan := func() {
+			clear(block)
+			blas.Dgemm(-2, a, sh.m, sh.d, cents, sh.k, 1, block, 1)
+			blas.RowNormsSq(a, sh.m, sh.d, an)
+			for i := 0; i < sh.m; i++ {
+				row := block[i*sh.k : (i+1)*sh.k]
+				bv, bi := row[0]+an[i]+normsSq[0], 0
+				for j := 1; j < sh.k; j++ {
+					if v := row[j] + an[i] + normsSq[j]; v < bv {
+						bv, bi = v, j
+					}
+				}
+				best[i], idx[i] = bv, int32(bi)
+			}
+		}
+		iters := max(20, 200_000_000/(sh.m*sh.k*sh.d))
+		if e.quick {
+			iters = max(2, iters/10)
+		}
+		for _, asm := range []bool{true, false} {
+			if asm && !blas.AsmSupported() {
+				continue
+			}
+			prev := blas.SetAsmEnabled(asm)
+			name := blas.KernelName()
+			if !asm {
+				name = "go"
+			}
+			for _, path := range []struct {
+				name  string
+				flush func()
+			}{
+				{"panel", func() { blas.NearestRows(a, sh.m, &panel, normsSq, best, idx) }},
+				{"gemm", gemmScan},
+			} {
+				us := timeReps(iters, path.flush) * 1e6
+				report.Nearest = append(report.Nearest, nearestResult{
+					Path: path.name, Kernel: name, M: sh.m, K: sh.k, D: sh.d, UsPerFlush: us})
+				rows = append(rows, []string{fmt.Sprintf("%dx%d k=%d", sh.m, sh.d, sh.k), path.name, name, fmt.Sprintf("%.1f", us)})
+			}
+			blas.SetAsmEnabled(prev)
+		}
+	}
+	printTable([]string{"float64 flush", "path", "kernel", "µs/flush"}, rows)
 
 	if e.jsonPath != "" {
 		buf, err := json.MarshalIndent(&report, "", "  ")

@@ -103,3 +103,24 @@ func sqDistRowsAsm64(x, y []float64, n int, out []float64) int {
 	}
 	return n8
 }
+
+// argminKern64 returns the scan's answer over j ∈ [0, n), n a positive
+// multiple of 8: the first j with the smallest v = (acc[j] + an) +
+// normsSq[j], starting from (v0, 0) and moving only on a strictly
+// smaller v. Eight lanes each run that rule from (v0, 0), then merge by
+// smaller value and then lower index (see kernels_amd64.s).
+//
+//go:noescape
+func argminKern64(acc, normsSq *float64, an, v0 float64, n int) (best float64, idx int)
+
+// argminAsm64 runs argminKern64 over the first len(acc)&^7 centroids and
+// returns its answer and how many centroids it covered (0 when none);
+// nearestOf's Go loop continues the scan from there.
+func argminAsm64(acc, normsSq []float64, an, v0 float64) (best float64, idx, n int) {
+	n = len(acc) &^ 7
+	if n == 0 {
+		return 0, 0, 0
+	}
+	best, idx = argminKern64(&acc[0], &normsSq[0], an, v0, n)
+	return best, idx, n
+}

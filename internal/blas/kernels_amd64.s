@@ -540,3 +540,89 @@ sdcols:
 
 	VZEROUPPER
 	RET
+
+// lane indices 0..7, and the per-step index increment.
+DATA argminIdx<>+0x00(SB)/8, $0
+DATA argminIdx<>+0x08(SB)/8, $1
+DATA argminIdx<>+0x10(SB)/8, $2
+DATA argminIdx<>+0x18(SB)/8, $3
+DATA argminIdx<>+0x20(SB)/8, $4
+DATA argminIdx<>+0x28(SB)/8, $5
+DATA argminIdx<>+0x30(SB)/8, $6
+DATA argminIdx<>+0x38(SB)/8, $7
+DATA argminIdx<>+0x40(SB)/8, $8
+GLOBL argminIdx<>(SB), RODATA, $72
+
+// ARGMIN_MERGE folds lane set (bv, bi) into (av, ai): a lane takes b's
+// value and index where b's value is smaller, or equal with a lower
+// index. Clobbers Y10-Y12.
+#define ARGMIN_MERGE(av, ai, bv, bi) \
+	VCMPPD    $0x11, av, bv, Y10; \
+	VCMPPD    $0x00, av, bv, Y11; \
+	VPCMPGTQ  bi, ai, Y12;        \
+	VANDPD    Y12, Y11, Y11;      \
+	VORPD     Y11, Y10, Y10;      \
+	VBLENDVPD Y10, bv, av, av;    \
+	VBLENDVPD Y10, bi, ai, ai
+
+// func argminKern64(acc, normsSq *float64, an, v0 float64, n int) (best float64, idx int)
+//
+// The scan's answer over j ∈ [0, n), n a positive multiple of 8: the
+// first j whose v = (acc[j] + an) + normsSq[j] is smallest, starting
+// from (v0, 0) and moving only on a strictly smaller v. Eight lanes
+// (Y0/Y1 values, Y2/Y3 indices) each start from (v0, 0) and run that
+// rule over the j they own: VCMPPD LT_OQ marks the lanes whose v is
+// smaller, VMINPD keeps v < best ? v : best (exactly the strict rule:
+// ±0 ties and NaN keep best), and VBLENDVPD takes the marked lanes'
+// indices. The lanes then merge by smaller value, then lower index,
+// which is the sequential scan's answer: a NaN v0 stays (NaN, 0), a
+// later NaN never wins, and −0 ties +0 with the lower index winning.
+//
+// Register plan: SI = acc, DI = normsSq, CX = elements left, Y4/Y5 = the
+// current step's indices, Y6 = 8 per lane, Y7 = an, Y8/Y9 = v.
+TEXT ·argminKern64(SB), NOSPLIT, $0-56
+	MOVQ acc+0(FP), SI
+	MOVQ normsSq+8(FP), DI
+	VBROADCASTSD an+16(FP), Y7
+	VBROADCASTSD v0+24(FP), Y0
+	MOVQ n+32(FP), CX
+	VMOVAPD Y0, Y1
+	VPXOR   Y2, Y2, Y2
+	VPXOR   Y3, Y3, Y3
+	VMOVDQU argminIdx<>+0x00(SB), Y4
+	VMOVDQU argminIdx<>+0x20(SB), Y5
+	VPBROADCASTQ argminIdx<>+0x40(SB), Y6
+
+amloop:
+	VMOVUPD (SI), Y8
+	VMOVUPD 32(SI), Y9
+	VADDPD  Y7, Y8, Y8
+	VADDPD  Y7, Y9, Y9
+	VADDPD  (DI), Y8, Y8
+	VADDPD  32(DI), Y9, Y9
+	VCMPPD  $0x11, Y0, Y8, Y10
+	VCMPPD  $0x11, Y1, Y9, Y11
+	VMINPD  Y0, Y8, Y0
+	VMINPD  Y1, Y9, Y1
+	VBLENDVPD Y10, Y4, Y2, Y2
+	VBLENDVPD Y11, Y5, Y3, Y3
+	VPADDQ  Y6, Y4, Y4
+	VPADDQ  Y6, Y5, Y5
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $8, CX
+	JNZ  amloop
+
+	ARGMIN_MERGE(Y0, Y2, Y1, Y3)
+	VPERM2F128 $0x01, Y0, Y0, Y1
+	VPERM2F128 $0x01, Y2, Y2, Y3
+	ARGMIN_MERGE(Y0, Y2, Y1, Y3)
+	VPERMILPD $0x5, Y0, Y1
+	VPERMILPD $0x5, Y2, Y3
+	ARGMIN_MERGE(Y0, Y2, Y1, Y3)
+
+	VZEROUPPER
+	MOVSD X0, best+40(FP)
+	MOVQ  X2, AX
+	MOVQ  AX, idx+48(FP)
+	RET

@@ -34,3 +34,7 @@ func dotKern8(q, b *int8, ldb, n, kl int, out *int32)
 // sqDistRowsAsm64 has no NEON kernel: SqDistRows runs its Go loop over
 // every row.
 func sqDistRowsAsm64(x, y []float64, n int, out []float64) int { return 0 }
+
+// argminAsm64 has no NEON kernel: nearestOf runs its Go loop over every
+// centroid.
+func argminAsm64(acc, normsSq []float64, an, v0 float64) (float64, int, int) { return 0, 0, 0 }

@@ -12,11 +12,6 @@ package blas
 // of bounds and every real column's arithmetic is independent of its
 // position in the tile.
 
-const (
-	packLanes32 = 8 // float32 lanes per vector (AVX2 YMM / 2×NEON)
-	packLanes64 = 4 // float64 lanes per vector
-)
-
 // dgemmBlockAsm32 computes rows [rlo, rhi) of C += alpha*A*Bᵀ via
 // gemmKern32. Same blocking as dgemmBlock32; the j0/p0 loops are hoisted
 // outside i0 so each packed panel is reused across all row blocks of the
@@ -89,6 +84,13 @@ func dgemmBlockAsm64(alpha float64, a []float64, m, k int, b []float64, n int, c
 			}
 		}
 	}
+}
+
+// panelTileAsm64 is panelTile through gemmKern64, which reads the
+// panel in place: a Panel is the pack layout above with ldp = ld,
+// widened to all jn columns.
+func panelTileAsm64(alpha float64, a0, a1, t, c0, c1 []float64, jn, ld, rows int) {
+	gemmKern64(&a0[0], &a1[0], &t[0], &c0[0], &c1[0], jn, ld, len(a0), rows, alpha)
 }
 
 // scanRowsI8Asm fills out[j] = Σ_p q[p]·b[j*d+p] for j ∈ [0, n) using

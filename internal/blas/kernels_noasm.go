@@ -23,3 +23,9 @@ func scanRowsI8Asm(q []int8, b []int8, n, d int, out []int32) {
 }
 
 func sqDistRowsAsm64(x, y []float64, n int, out []float64) int { return 0 }
+
+func panelTileAsm64(alpha float64, a0, a1, t, c0, c1 []float64, jn, ld, rows int) {
+	panelTile(alpha, a0, a1, t, c0, c1, jn, ld, rows)
+}
+
+func argminAsm64(acc, normsSq []float64, an, v0 float64) (float64, int, int) { return 0, 0, 0 }

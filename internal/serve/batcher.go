@@ -27,7 +27,9 @@ type Assignment struct {
 
 // BatcherOptions tune the assignment path.
 type BatcherOptions struct {
-	// Threads parallelises the blocked GEMM (default 1).
+	// Threads splits the float32 and int8 GEMMs of a flush across
+	// goroutines (default 1). float64 flushes run on the flusher
+	// goroutine whatever it says.
 	Threads int
 	// ModelQuota bounds in-flight requests per model (queued or being
 	// answered); further AssignBatch calls fail fast with an error
@@ -92,7 +94,7 @@ type batchAnswer struct {
 	done    time.Time // when the answer was posted (traced requests only)
 }
 
-// BatcherOf coalesces concurrent assignment requests into one blocked
+// BatcherOf coalesces concurrent assignment requests into one
 // ‖v‖²+‖c‖²−2·V·Cᵀ distance computation per flush. Callers block only
 // for their own answer; a background flusher drains the queue as soon
 // as it is free, taking every request that arrived during the previous
@@ -102,7 +104,8 @@ type batchAnswer struct {
 // splits one batch across versions.
 //
 // The element type selects the assign hot path's precision: float64
-// reproduces the pre-generic Batcher exactly; float32 runs the
+// reproduces the pre-generic Batcher exactly, one pair of query rows at
+// a time against a centroid panel the batcher caches; float32 runs the
 // register-tiled Dgemm microkernel against the registry's precomputed
 // float32 centroid mirror — half the memory traffic per flush, answers
 // within the relative-error bounds documented in EXPERIMENTS.md.
@@ -125,8 +128,15 @@ type BatcherOf[T blas.Float] struct {
 	flushes  telemetry.Counter
 	rejected telemetry.Counter
 
-	// blocks recycles the m×k distance block (a *[]T) between flushes.
+	// blocks recycles the float32 path's m×k distance block (a *[]T)
+	// between flushes.
 	blocks sync.Pool
+
+	// panel holds the float64 path's transposed centroids, built from
+	// panelOf, the last snapshot a flush answered from. Only the
+	// flusher goroutine touches them.
+	panel   blas.Panel
+	panelOf *Model
 }
 
 // Batcher is the float64 assignment path.
@@ -412,9 +422,44 @@ func (b *BatcherOf[T]) flush(batch []pendingReq[T]) {
 
 // assignBlock computes nearest centroids for an m×d row block via the
 // ‖v‖² + ‖c‖² − 2·V·Cᵀ identity, reusing the snapshot's cached ‖c‖² at
-// the block's element type. A Shard batcher skips the cancellation
-// clamp (the sharded combiner clamps once, after the cross-shard min).
+// the block's element type: float64 blocks take the block-free path,
+// whose answers are bit for bit assignGemm's, and float32 blocks
+// assignGemm itself. A Shard batcher skips the cancellation clamp (the
+// sharded combiner clamps once, after the cross-shard min).
 func (b *BatcherOf[T]) assignBlock(a []T, m int, snap *Model) []Assignment {
+	if a64, ok := any(a).([]float64); ok {
+		return b.assignPanel(a64, m, snap)
+	}
+	return b.assignGemm(a, m, snap)
+}
+
+// assignPanel answers a float64 block without the m×k distance block:
+// blas.NearestRows runs each pair of rows against the batcher's
+// centroid panel, which is rebuilt in place only when a flush names
+// another snapshot than the last one, and ignores Threads: splitting
+// the flush across goroutines never paid.
+func (b *BatcherOf[T]) assignPanel(a []float64, m int, snap *Model) []Assignment {
+	cents, normsSq := centroidsOf[float64](snap)
+	if b.panelOf != snap {
+		b.panel.Build(cents.Data, snap.K(), snap.Dims())
+		b.panelOf = snap
+	}
+	best, idx := make([]float64, m), make([]int32, m)
+	blas.NearestRows(a, m, &b.panel, normsSq, best, idx)
+	out := make([]Assignment, m)
+	for i, v := range best {
+		if v < 0 && !b.opts.Shard { // numerical cancellation
+			v = 0
+		}
+		out[i] = Assignment{Cluster: idx[i], SqDist: v, Version: snap.Version}
+	}
+	return out
+}
+
+// assignGemm is the GEMM path: Dgemm fills a pooled m×k distance block,
+// split across Threads goroutines, and a scan takes each row's first
+// smallest distance.
+func (b *BatcherOf[T]) assignGemm(a []T, m int, snap *Model) []Assignment {
 	k, d := snap.K(), snap.Dims()
 	cents, normsSq := centroidsOf[T](snap)
 	block, _ := b.blocks.Get().(*[]T)

@@ -9,7 +9,7 @@
 //     queries in flight never observe a half-updated model and never
 //     block a trainer.
 //   - Batcher — the assignment path. Concurrent Assign calls are
-//     coalesced into one blocked ‖v‖²+‖c‖²−2·V·Cᵀ distance computation
+//     coalesced into one ‖v‖²+‖c‖²−2·V·Cᵀ distance computation
 //     through internal/blas, amortising per-request overhead; each
 //     request's latency is observed into the registered
 //     knor_serve_request_seconds histogram, the source of /metrics and

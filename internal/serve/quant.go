@@ -55,7 +55,7 @@ func quantOf(m *Model) *blas.QuantizedRows {
 	return m.q8
 }
 
-// assignBlockQuant is the quantized counterpart of assignBlock for the
+// assignBlockQuant is the quantized counterpart of assignGemm for the
 // float32 path. A row whose margin check leaves more than rerankCap
 // candidates falls back to a full exact scan of its distance row,
 // counted in the returned fallback total. raw skips the cancellation
@@ -109,7 +109,7 @@ func assignBlockQuant(a []float32, m int, snap *Model, threads int, raw bool) ([
 		var bi int
 		if overflow {
 			// Margin too loose for a bounded re-rank: full exact row,
-			// identical to assignBlock's scan.
+			// identical to assignGemm's scan.
 			fallbacks++
 			full := make([]float32, k)
 			blas.Dgemm(-2, arow, 1, d, cents.Data, k, 0, full, 1)
