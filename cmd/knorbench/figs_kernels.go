@@ -262,7 +262,7 @@ func kernelsExp(e env) {
 				name  string
 				flush func()
 			}{
-				{"panel", func() { blas.NearestRows(a, sh.m, &panel, normsSq, best, idx) }},
+				{"panel", func() { blas.NearestRows(a, sh.m, &panel, normsSq, best, idx, 1) }},
 				{"gemm", gemmScan},
 			} {
 				us := timeReps(iters, path.flush) * 1e6

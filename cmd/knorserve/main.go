@@ -117,7 +117,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		threads      = flag.Int("threads", 0, "goroutines per float32 or int8 GEMM flush (0 = GOMAXPROCS); float64 flushes run on one")
+		threads      = flag.Int("threads", 0, "goroutines per assign flush (0 = GOMAXPROCS); float64 flushes split only from 2^20 multiply-adds")
 		nodes        = flag.Int("nodes", 4, "simulated NUMA nodes to pin model shards across")
 		machines     = flag.Int("machines", 1, "shard each model's centroids across this many simulated machines (1 = single-node assigner)")
 		replicas     = flag.Int("replicas", 1, "replicas per shard group: /assign fails over across them, so replicas-1 machine deaths stay invisible (needs -machines > 1)")

@@ -86,8 +86,9 @@ func dgemmBlockAsm64(alpha float64, a []float64, m, k int, b []float64, n int, c
 	}
 }
 
-// panelTileAsm64 is panelTile through gemmKern64, which reads the
-// panel in place: a Panel is the pack layout above with ldp = ld,
+// panelTileAsm64 adds alpha·Σ_p a_r[p]·t[p·ld+j] into c_r[j] for
+// j < jn, p < len(a0) and the rows r < rows through gemmKern64, which
+// reads a Panel in place: it is the pack layout above with ldp = ld,
 // widened to all jn columns.
 func panelTileAsm64(alpha float64, a0, a1, t, c0, c1 []float64, jn, ld, rows int) {
 	gemmKern64(&a0[0], &a1[0], &t[0], &c0[0], &c1[0], jn, ld, len(a0), rows, alpha)

@@ -24,8 +24,10 @@ func scanRowsI8Asm(q []int8, b []int8, n, d int, out []int32) {
 
 func sqDistRowsAsm64(x, y []float64, n int, out []float64) int { return 0 }
 
+// panelTileAsm64 has no Go body: NearestRows runs dgemmBlock instead
+// whenever the assembly is off.
 func panelTileAsm64(alpha float64, a0, a1, t, c0, c1 []float64, jn, ld, rows int) {
-	panelTile(alpha, a0, a1, t, c0, c1, jn, ld, rows)
+	panic("blas: no assembly kernels on this build")
 }
 
 func argminAsm64(acc, normsSq []float64, an, v0 float64) (float64, int, int) { return 0, 0, 0 }

@@ -1,31 +1,42 @@
 package blas
 
+import "sync"
+
+// nearestSplitWork is the number of multiply-adds, m·k·d, from which
+// NearestRows splits a flush across goroutines. On a 2-core host the
+// split paid at 1024×100×16 and 128×1000×32 (1.6M and 4.1M) and did not
+// at 512×100×16 and 32×1000×32 (0.8M and 1.0M); EXPERIMENTS.md
+// §Block-free float64 flush has the readings.
+const nearestSplitWork = 1 << 20
+
 // Panel is a k×d float64 centroid matrix laid out for NearestRows:
 // element [p][j] of its d×ld table is centroid j's coordinate p, with
 // ld = k rounded up to the vector width and the pad columns zeroed.
 // That is the layout the Dgemm driver packs one 64×64 block at a time
 // (kernels_asm.go), widened to all k columns, so the tile kernel reads
-// it in place. A Panel also holds the 2×ld accumulator that one pair of
-// query rows' dot terms go to. It is not safe for concurrent use.
+// it in place. A Panel also keeps the row-major matrix, which the Go
+// path reads, and the 2×k accumulator that one pair of query rows' dot
+// terms go to. It is not safe for concurrent use.
 type Panel struct {
 	k, d, ld int
+	c        []float64 // k×d row-major centroids, as passed to Build
 	t        []float64 // d×ld transposed centroids
-	acc      []float64 // 2×ld dot terms of one row pair
+	acc      []float64 // 2×k dot terms of one row pair
 }
 
 // Build lays the k×d row-major matrix c out in p, reusing p's storage
 // when it is large enough. It copies in the pack loop's 64×64 blocks,
 // four centroid rows at a time so each coordinate's four values land
 // side by side: a rebuild costs less than Dgemm's per-call pack of the
-// same matrix did.
+// same matrix did. p keeps c, which must not change while p is in use.
 func (p *Panel) Build(c []float64, k, d int) {
 	if len(c) < k*d {
 		panic("blas: Panel.Build size mismatch")
 	}
 	ld := roundUp(k, packLanes64)
-	p.k, p.d, p.ld = k, d, ld
+	p.k, p.d, p.ld, p.c = k, d, ld, c[:k*d]
 	p.t = resize(p.t, d*ld)
-	p.acc = resize(p.acc, 2*ld)
+	p.acc = resize(p.acc, 2*k)
 	t := p.t
 	for j0 := 0; j0 < k; j0 += blockDim {
 		jMax := min(j0+blockDim, k)
@@ -70,10 +81,12 @@ func resize(s []float64, n int) []float64 {
 // a strict-< scan from j = 0 give, without the block. For each pair of
 // rows the tile kernel adds every 64-wide p block's −2·aᵢ·cⱼ into the
 // panel's accumulator in Dgemm's block order, and the argmin adds
-// (acc + ‖aᵢ‖²) + ‖cⱼ‖² and keeps the first smallest. It runs on the
-// calling goroutine.
-func NearestRows(a []float64, m int, p *Panel, normsSq, best []float64, idx []int32) {
-	k, d, ld := p.k, p.d, p.ld
+// (acc + ‖aᵢ‖²) + ‖cⱼ‖² and keeps the first smallest. A flush of
+// nearestSplitWork multiply-adds or more splits into contiguous row
+// stripes across threads goroutines, each with its own accumulator;
+// smaller ones run on the calling goroutine.
+func NearestRows(a []float64, m int, p *Panel, normsSq, best []float64, idx []int32, threads int) {
+	k, d := p.k, p.d
 	if len(a) < m*d || len(normsSq) < k || len(best) < m || len(idx) < m {
 		panic("blas: NearestRows size mismatch")
 	}
@@ -86,60 +99,48 @@ func NearestRows(a []float64, m int, p *Panel, normsSq, best []float64, idx []in
 	} else {
 		telGemmGo64.Inc()
 	}
-	acc0, acc1 := p.acc[:k], p.acc[ld:ld+k]
-	for i := 0; i < m; i += 2 {
-		rows := min(2, m-i)
+	if threads <= 1 || m*k*d < nearestSplitWork {
+		p.nearestRange(a, normsSq, best, idx, p.acc, 0, m, asm)
+		return
+	}
+	var wg sync.WaitGroup
+	stripe := (m + threads - 1) / threads
+	for lo := stripe; lo < m; lo += stripe {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			p.nearestRange(a, normsSq, best, idx, make([]float64, 2*k), lo, hi, asm)
+		}(lo, min(lo+stripe, m))
+	}
+	p.nearestRange(a, normsSq, best, idx, p.acc, 0, stripe, asm)
+	wg.Wait()
+}
+
+// nearestRange answers rows [lo, hi) of NearestRows into the 2×k
+// accumulator acc. The Go path runs dgemmBlock, Dgemm's own reference
+// schedule, on the row pair and the row-major centroids.
+func (p *Panel) nearestRange(a, normsSq, best []float64, idx []int32, acc []float64, lo, hi int, asm bool) {
+	k, d, ld := p.k, p.d, p.ld
+	acc0, acc1 := acc[:k], acc[k:2*k]
+	for i := lo; i < hi; i += 2 {
+		rows := min(2, hi-i)
 		a0 := a[i*d : (i+1)*d]
 		a1 := a0
 		if rows == 2 {
 			a1 = a[(i+1)*d : (i+2)*d]
 		}
-		clear(acc0)
-		clear(acc1)
-		for p0 := 0; p0 < d; p0 += blockDim {
-			pMax := min(p0+blockDim, d)
-			t := p.t[p0*ld : pMax*ld]
-			if asm {
-				panelTileAsm64(-2, a0[p0:pMax], a1[p0:pMax], t, acc0, acc1, k, ld, rows)
-			} else {
-				panelTile(-2, a0[p0:pMax], a1[p0:pMax], t, acc0, acc1, k, ld, rows)
+		clear(acc[:rows*k])
+		if asm {
+			for p0 := 0; p0 < d; p0 += blockDim {
+				pMax := min(p0+blockDim, d)
+				panelTileAsm64(-2, a0[p0:pMax], a1[p0:pMax], p.t[p0*ld:pMax*ld], acc0, acc1, k, ld, rows)
 			}
+		} else {
+			dgemmBlock(-2, a[i*d:(i+rows)*d], rows, d, p.c, k, acc, 0, rows)
 		}
 		best[i], idx[i] = nearestOf(acc0, normsSq, Dnrm2Sq(a0), asm)
 		if rows == 2 {
 			best[i+1], idx[i+1] = nearestOf(acc1, normsSq, Dnrm2Sq(a1), asm)
-		}
-	}
-}
-
-// panelTile adds alpha·Σ_p a_r[p]·t[p·ld+j] into c_r[j] for j < jn and
-// the rows r < rows, p < len(a0), in dgemmBlock's per-element order: a
-// p-ascending sum from zero, then one multiply and add into c. It runs
-// four columns of both rows at a time, reading the zeroed pad columns
-// past jn but storing only real ones, as gemmKern64 does; a lone row
-// is computed twice and stored once.
-func panelTile(alpha float64, a0, a1, t, c0, c1 []float64, jn, ld, rows int) {
-	a1 = a1[:len(a0)]
-	for j := 0; j < jn; j += 4 {
-		var s00, s01, s02, s03, s10, s11, s12, s13 float64
-		for q, x0 := range a0 {
-			x1 := a1[q]
-			tq := t[q*ld+j : q*ld+j+4]
-			s00 += x0 * tq[0]
-			s01 += x0 * tq[1]
-			s02 += x0 * tq[2]
-			s03 += x0 * tq[3]
-			s10 += x1 * tq[0]
-			s11 += x1 * tq[1]
-			s12 += x1 * tq[2]
-			s13 += x1 * tq[3]
-		}
-		sums := [8]float64{s00, s01, s02, s03, s10, s11, s12, s13}
-		for jj := 0; jj < 4 && j+jj < jn; jj++ {
-			c0[j+jj] += alpha * sums[jj]
-			if rows == 2 {
-				c1[j+jj] += alpha * sums[4+jj]
-			}
 		}
 	}
 }

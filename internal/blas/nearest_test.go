@@ -30,8 +30,9 @@ func gemmScan(a []float64, m, d int, c []float64, k int, normsSq []float64) ([]f
 }
 
 // FuzzNearestRowsParity holds NearestRows, with the assembly on and
-// off, to Dgemm + scan over fuzzed shapes (d > 64 takes more than one p
-// block) and inputs salted with the SqDistRows specials. Every row must
+// off and at 1 and 3 threads, to Dgemm + scan over fuzzed shapes (d > 64
+// takes more than one p block, and m·k·d ≥ 2^20 splits the rows) and
+// inputs salted with the SqDistRows specials. Every row must
 // get the same centroid and value; two NaNs count as equal, since an
 // input NaN's payload is the hardware's choice.
 func FuzzNearestRowsParity(f *testing.F) {
@@ -39,6 +40,7 @@ func FuzzNearestRowsParity(f *testing.F) {
 	f.Add(int64(2), 1, 1, 1)
 	f.Add(int64(3), 64, 100, 16)
 	f.Add(int64(4), 5, 17, 65)
+	f.Add(int64(5), 79, 300, 64)
 	f.Fuzz(func(t *testing.T, seed int64, m, k, d int) {
 		if m < 1 || k < 1 || d < 1 || m > 80 || k > 300 || d > 140 {
 			t.Skip()
@@ -55,14 +57,16 @@ func FuzzNearestRowsParity(f *testing.F) {
 		var p blas.Panel
 		p.Build(c, k, d)
 		for _, asm := range []bool{true, false} {
-			best, idx := make([]float64, m), make([]int32, m)
-			prev := blas.SetAsmEnabled(asm)
-			blas.NearestRows(a, m, &p, normsSq, best, idx)
-			blas.SetAsmEnabled(prev)
-			for i := range best {
-				if idx[i] != wantI[i] || !sameBits(best[i], wantV[i]) {
-					t.Fatalf("m=%d k=%d d=%d asm=%v: row %d got (%v, %d), Dgemm+scan (%v, %d)",
-						m, k, d, asm, i, best[i], idx[i], wantV[i], wantI[i])
+			for _, threads := range []int{1, 3} {
+				best, idx := make([]float64, m), make([]int32, m)
+				prev := blas.SetAsmEnabled(asm)
+				blas.NearestRows(a, m, &p, normsSq, best, idx, threads)
+				blas.SetAsmEnabled(prev)
+				for i := range best {
+					if idx[i] != wantI[i] || !sameBits(best[i], wantV[i]) {
+						t.Fatalf("m=%d k=%d d=%d asm=%v threads=%d: row %d got (%v, %d), Dgemm+scan (%v, %d)",
+							m, k, d, asm, threads, i, best[i], idx[i], wantV[i], wantI[i])
+					}
 				}
 			}
 		}
@@ -99,7 +103,7 @@ func BenchmarkNearestRows(b *testing.B) {
 				prev := blas.SetAsmEnabled(asm)
 				defer blas.SetAsmEnabled(prev)
 				for b.Loop() {
-					blas.NearestRows(a, sh.m, &p, normsSq, best, idx)
+					blas.NearestRows(a, sh.m, &p, normsSq, best, idx, 1)
 				}
 			})
 		}

@@ -27,9 +27,10 @@ type Assignment struct {
 
 // BatcherOptions tune the assignment path.
 type BatcherOptions struct {
-	// Threads splits the float32 and int8 GEMMs of a flush across
-	// goroutines (default 1). float64 flushes run on the flusher
-	// goroutine whatever it says.
+	// Threads splits a flush's distance computation across goroutines
+	// (default 1): always for the float32 and int8 GEMMs, and for a
+	// float64 flush only from 2^20 multiply-adds (m·k·d) up, below
+	// which the split did not pay (blas.NearestRows).
 	Threads int
 	// ModelQuota bounds in-flight requests per model (queued or being
 	// answered); further AssignBatch calls fail fast with an error
@@ -436,8 +437,8 @@ func (b *BatcherOf[T]) assignBlock(a []T, m int, snap *Model) []Assignment {
 // assignPanel answers a float64 block without the m×k distance block:
 // blas.NearestRows runs each pair of rows against the batcher's
 // centroid panel, which is rebuilt in place only when a flush names
-// another snapshot than the last one, and ignores Threads: splitting
-// the flush across goroutines never paid.
+// another snapshot than the last one. Only flushes of 2^20
+// multiply-adds or more split across Threads.
 func (b *BatcherOf[T]) assignPanel(a []float64, m int, snap *Model) []Assignment {
 	cents, normsSq := centroidsOf[float64](snap)
 	if b.panelOf != snap {
@@ -445,7 +446,7 @@ func (b *BatcherOf[T]) assignPanel(a []float64, m int, snap *Model) []Assignment
 		b.panelOf = snap
 	}
 	best, idx := make([]float64, m), make([]int32, m)
-	blas.NearestRows(a, m, &b.panel, normsSq, best, idx)
+	blas.NearestRows(a, m, &b.panel, normsSq, best, idx, b.opts.Threads)
 	out := make([]Assignment, m)
 	for i, v := range best {
 		if v < 0 && !b.opts.Shard { // numerical cancellation

@@ -156,9 +156,11 @@ func panelCase(rng *rand.Rand, fixture string, m, k, d int) (cents, rows []float
 // TestAssignPanelMatchesGemm holds the float64 block-free path to the
 // GEMM path it replaced (Dgemm into a zeroed block, then the scan), bit
 // for bit: every row's cluster id and distance, at every shape below,
-// with the assembly kernels on and off and with both Shard settings.
-// The shapes cover the row pair's odd row, the argmin's 8-lane steps and
-// Go tail, and d > 64, where the dot terms take more than one p block.
+// with the assembly kernels on and off, with both Shard settings and at
+// 1 and 3 Threads. The shapes cover the row pair's odd row, the
+// argmin's 8-lane steps and Go tail, d > 64, where the dot terms take
+// more than one p block, and flushes large enough to split into row
+// stripes (m·k·d ≥ 2^20) with a stripe of odd length.
 func TestAssignPanelMatchesGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	for _, fixture := range []string{"ties", "huge"} {
@@ -175,11 +177,14 @@ func TestAssignPanelMatchesGemm(t *testing.T) {
 					for _, asm := range []bool{true, false} {
 						prev := blas.SetAsmEnabled(asm)
 						for _, shard := range []bool{false, true} {
-							b := &BatcherOf[float64]{opts: BatcherOptions{Shard: shard}.withDefaults()}
-							want := b.assignGemm(rows, m, snap)
-							got := b.assignBlock(rows, m, snap)
-							label := fmt.Sprintf("%s m=%d k=%d d=%d asm=%v shard=%v", fixture, m, k, d, asm, shard)
-							checkSameAnswers(t, label, got, want)
+							for _, threads := range []int{1, 3} {
+								b := &BatcherOf[float64]{opts: BatcherOptions{Shard: shard, Threads: threads}.withDefaults()}
+								want := b.assignGemm(rows, m, snap)
+								got := b.assignBlock(rows, m, snap)
+								label := fmt.Sprintf("%s m=%d k=%d d=%d asm=%v shard=%v threads=%d",
+									fixture, m, k, d, asm, shard, threads)
+								checkSameAnswers(t, label, got, want)
+							}
 						}
 						blas.SetAsmEnabled(prev)
 					}
