@@ -32,10 +32,10 @@ bench-precision:
 	$(GO) test -run=NONE -bench='ServeAssign' -benchtime=20x ./internal/serve
 
 # EXPERIMENTS.md's Kernels table: SIMD vs pure-Go GEMM GFLOP/s at both
-# element widths, the int8 quantized scan, the row-distance kernel's
-# ns per distance and the float64 serving flush's µs by both paths,
-# with the machine-readable report (including the float32 asm/go
-# speedup on the acceptance shape) in BENCH_kernels.json.
+# element widths, the row-distance kernel's ns per distance and the
+# float64 serving flush's µs by both paths, with the machine-readable
+# report (including the float32 asm/go speedup on the acceptance shape)
+# in BENCH_kernels.json.
 bench-kernels:
 	$(GO) run ./cmd/knorbench -exp kernels -json BENCH_kernels.json
 
@@ -115,17 +115,18 @@ chaos-smoke:
 	$(GO) run ./cmd/knorbench -quick -exp failover
 
 # Observability smoke (mirrors CI): boot knorserve replicated
-# (-machines 3 -replicas 2), publish a model, and assert /readyz flips
-# ready, /metrics serves the expected series from every instrumented
-# layer (including the topology membership instruments), /debug/traces
-# holds a sampled /assign lifecycle, and killing a machine drops the
-# live gauge, fires failovers, and keeps /assign answering.
+# (-machines 3 -replicas 2) at -precision 32, publish a model, and
+# assert /readyz flips ready, /metrics serves the expected series from
+# every instrumented layer (including the topology membership
+# instruments) and counts a float32 kernel dispatch for the assign,
+# /debug/traces holds a sampled /assign lifecycle, and killing a machine
+# drops the live gauge, fires failovers, and keeps /assign answering.
 metrics-smoke:
 	@tmp=$$(mktemp -d) || exit 1; \
 	trap 'kill $$pid 2>/dev/null; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/knorserve ./cmd/knorserve && \
 	$$tmp/knorserve -addr 127.0.0.1:18080 -trace-sample 1 -machines 3 -replicas 2 \
-		-precision 32 -quantize int8 & pid=$$!; \
+		-precision 32 & pid=$$!; \
 	for i in $$(seq 1 50); do \
 		curl -fsS http://127.0.0.1:18080/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
 	curl -sS -o /dev/null -w '%{http_code}' http://127.0.0.1:18080/readyz | grep -q 503 || \
@@ -144,15 +145,12 @@ metrics-smoke:
 		knor_topology_transitions_total knor_topology_health_pulse_seconds \
 		knor_shardserve_failovers_total knor_shardserve_rebalances_total \
 		knor_shardserve_spread_bytes_total knor_blas_gemm_dispatch_total \
-		knor_serve_quant_rows_total knor_serve_quant_rerank_fallbacks_total \
 		knor_net_bytes_total knor_net_frames_total \
 		knor_net_dial_errors_total knor_net_roundtrip_seconds; do \
 		grep -q "^# TYPE $$series" $$tmp/metrics.txt || \
 			{ echo "metrics-smoke: $$series missing from /metrics"; exit 1; }; done; \
-	grep -q '^knor_serve_quant_rows_total [1-9]' $$tmp/metrics.txt || \
-		{ echo "metrics-smoke: quantized assign path served no rows (-quantize int8)"; exit 1; }; \
-	grep '^knor_serve_quant_rerank_fallbacks_total' $$tmp/metrics.txt || \
-		{ echo "metrics-smoke: no rerank fallback counter"; exit 1; }; \
+	grep -Eq '^knor_blas_gemm_dispatch_total\{kernel="(asm32|go32)"\} [1-9]' $$tmp/metrics.txt || \
+		{ echo "metrics-smoke: no float32 kernel served the assign (-precision 32)"; exit 1; }; \
 	grep -q '^knor_topology_machines_live 3$$' $$tmp/metrics.txt || \
 		{ echo "metrics-smoke: live gauge should read 3 at boot"; exit 1; }; \
 	families=$$(grep -c '^# TYPE ' $$tmp/metrics.txt); \

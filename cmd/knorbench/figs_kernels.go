@@ -2,13 +2,12 @@ package main
 
 // Kernels experiment: GFLOP/s of the Dgemm microkernels at both
 // element widths with the assembly path on and off (same binary — the
-// dispatch switch flips at runtime), the int8 quantized centroid-scan
-// kernel's throughput, ns per distance of the exact row-distance kernel
-// training's dense scans run, and µs per float64 serving flush by the
-// block-free path and by Dgemm + scan. With -json the measurements also
-// land in a machine-readable file (the bench-kernels Makefile target
-// writes BENCH_kernels.json), including the float32 asm/go speedup on
-// the acceptance shape.
+// dispatch switch flips at runtime), ns per distance of the exact
+// row-distance kernel training's dense scans run, and µs per float64
+// serving flush by the block-free path and by Dgemm + scan. With -json
+// the measurements also land in a machine-readable file (the
+// bench-kernels Makefile target writes BENCH_kernels.json), including
+// the float32 asm/go speedup on the acceptance shape.
 
 import (
 	"encoding/json"
@@ -29,15 +28,6 @@ type kernelResult struct {
 	D      int     `json:"d"`
 	K      int     `json:"k"`
 	GFLOPS float64 `json:"gflops"`
-}
-
-// quantResult is one int8 scan measurement in the JSON report.
-type quantResult struct {
-	M          int     `json:"m"`
-	D          int     `json:"d"`
-	K          int     `json:"k"`
-	GOPS       float64 `json:"gops"` // 2*m*k*d int ops per second
-	RowsPerSec float64 `json:"rows_per_sec"`
 }
 
 // distRowsResult is one SqDistRows measurement in the JSON report: a
@@ -73,7 +63,6 @@ type kernelsReport struct {
 	// PairwiseSqDist-shaped GEMM, d=16, k=100); 1.0 without assembly.
 	SpeedupF32 float64          `json:"speedup_f32"`
 	Gemm       []kernelResult   `json:"gemm"`
-	Quantized  []quantResult    `json:"quantized"`
 	DistRows   []distRowsResult `json:"dist_rows"`
 	Nearest    []nearestResult  `json:"nearest"`
 }
@@ -97,11 +86,14 @@ var distRowsShapes = []struct{ rows, d, k int }{
 
 // nearestShapes are the benchmark's float64 flushes: a d16 request (4
 // rows, k=100, d=16), a d32 request (64 rows, k=1000, d=32) and a d32
-// request at one of the cluster's two shards (k=500).
+// request at one of the cluster's two shards (k=500). The last, 64 rows
+// against k=10000, d=64, has a 5 MB panel that outgrows L2, where the
+// block-free path loses to Dgemm + scan.
 var nearestShapes = []struct{ m, k, d int }{
 	{4, 100, 16},
 	{64, 1000, 32},
 	{64, 500, 32},
+	{64, 10000, 64},
 }
 
 func kernelsExp(e env) {
@@ -160,22 +152,6 @@ func kernelsExp(e env) {
 				report.SpeedupF32 = asmGF[0] / perKernel["go"][0]
 			}
 		}
-
-		// Quantized scan on the same shape: quantize once, time the
-		// int8 dot sweep (what a quantized flush runs per batch).
-		q8c := blas.QuantizeRows(c32, sh.k, sh.d)
-		q8a := blas.QuantizeRows(a32, sh.m, sh.d)
-		dots := make([]int32, sh.m*sh.k)
-		tq := timeReps(reps, func() { blas.Gemm8(q8a.Data, sh.m, sh.d, q8c.Data, sh.k, dots, threads) })
-		report.Quantized = append(report.Quantized, quantResult{
-			M: sh.m, D: sh.d, K: sh.k,
-			GOPS:       flops / tq / 1e9,
-			RowsPerSec: float64(sh.m) / tq,
-		})
-		rows = append(rows, []string{
-			fmt.Sprintf("%dx%d k=%d", sh.m, sh.d, sh.k), "int8",
-			fmt.Sprintf("%.2f", flops/tq/1e9), "-",
-		})
 	}
 	printTable([]string{"shape", "kernel", "f32 GF/s", "f64 GF/s"}, rows)
 	if blas.AsmSupported() {

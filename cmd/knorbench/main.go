@@ -59,7 +59,7 @@ var experiments = []experiment{
 	{"precision", "Precision: float32 vs float64 kernels, training and serving", precisionExp},
 	{"io", "Real I/O: knors on a store file, page cache x prefetch x devices", ioExp},
 	{"failover", "Failover: replicated shard serving under a seeded kill schedule, R x kill rate", failoverExp},
-	{"kernels", "Kernels: SIMD vs pure-Go GEMM GFLOP/s, int8 quantized scan throughput, float64 flush µs", kernelsExp},
+	{"kernels", "Kernels: SIMD vs pure-Go GEMM GFLOP/s, row-distance ns/dist, float64 flush µs", kernelsExp},
 	{"net", "Transport: ring allgather, simulated cost model vs real TCP on loopback", netExp},
 	{"trace", "Observability: sampled tracing + federation scrape overhead on the serving shape", traceExp},
 }

@@ -44,7 +44,9 @@ type rankStats struct {
 	P99MS float64 `json:"p99_ms"`
 	// BytesTotal sums the rank's transport traffic, both directions.
 	BytesTotal float64 `json:"bytes_total"`
-	// Inflight is the rank's current in-flight assign requests.
+	// Inflight is rank 0's in-flight /v1/assign requests, read from
+	// its edge's gauge (edgeFamily). Worker ranks have no edge and
+	// read 0.
 	Inflight float64 `json:"inflight"`
 	// Shards is the live shard-copy count the rank holds.
 	Shards float64 `json:"shards"`
@@ -68,8 +70,8 @@ func (s *server) handleClusterStats(w http.ResponseWriter, _ *http.Request) {
 				rs.P99MS = famQuantile(snap.Families, lat, 0.99) * 1e3
 			}
 			rs.BytesTotal = famSum(snap.Families, "knor_net_bytes_total")
-			rs.Inflight = famSum(snap.Families, "knor_serve_inflight_requests")
 			if snap.Rank == 0 {
+				rs.Inflight = famSum(snap.Families, s.edgeFamily("inflight_requests"))
 				if s.shards != nil {
 					rs.Shards = float64(s.shards.CopiesOn(0))
 				}
@@ -82,18 +84,25 @@ func (s *server) handleClusterStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ranks": ranks})
 }
 
-// edgeLatencyMS reads the p50, p95, p99 and mean of this process's
-// /v1/assign edge latency, in milliseconds, from the histogram family
-// that times it in fams: the fan-out edge when the server shards its
-// models over machines, the single-node batcher edge otherwise. All
-// four are 0 before the first request (JSON has no NaN). /v1/stats,
-// /v1/cluster/stats rank 0 and the -loadtest report all read it.
-func (s *server) edgeLatencyMS(fams []telemetry.SnapshotFamily) (p50, p95, p99, mean float64) {
-	name := "knor_serve_request_seconds"
+// edgeFamily names the telemetry family with the given suffix that
+// this process's /v1/assign edge records: the fan-out edge's
+// (knor_shardserve_…) when the server shards its models over machines,
+// the single-node batcher's (knor_serve_…) otherwise. Shard batchers
+// record neither.
+func (s *server) edgeFamily(suffix string) string {
 	if s.shards != nil {
-		name = "knor_shardserve_request_seconds"
+		return "knor_shardserve_" + suffix
 	}
-	h := famHistogram(fams, name)
+	return "knor_serve_" + suffix
+}
+
+// edgeLatencyMS reads the p50, p95, p99 and mean of this process's
+// /v1/assign edge latency, in milliseconds, from the edge's histogram
+// family in fams (edgeFamily). All four are 0 before the first request
+// (JSON has no NaN). /v1/stats, /v1/cluster/stats rank 0 and the
+// -loadtest report all read it.
+func (s *server) edgeLatencyMS(fams []telemetry.SnapshotFamily) (p50, p95, p99, mean float64) {
+	h := famHistogram(fams, s.edgeFamily("request_seconds"))
 	if h.Count == 0 {
 		return 0, 0, 0, 0
 	}

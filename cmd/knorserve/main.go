@@ -33,15 +33,6 @@
 // documented in EXPERIMENTS.md. Training and the registry's canonical
 // centroids stay float64.
 //
-// -quantize int8 (requires -precision 32) scans all centroids with a
-// per-row symmetric int8 quantization and an int8×int8→int32 SIMD
-// kernel, keeps the candidates whose error interval could contain the
-// minimum, and re-ranks just those exactly in float32 — answers stay
-// bit-identical to the plain -precision 32 path (DESIGN.md has the
-// error bound); rows whose candidate set exceeds the re-rank cap fall
-// back to a full exact scan, counted in
-// knor_serve_quant_rerank_fallbacks_total.
-//
 // -machines M shards every model's centroids across M simulated
 // machines (internal/shardserve): /assign batches fan out, each
 // machine computes distances against only its shard, and the per-shard
@@ -107,7 +98,6 @@ import (
 	"time"
 
 	"knor/internal/cliutil"
-	"knor/internal/kmeans"
 	"knor/internal/netcluster"
 	"knor/internal/serve"
 	"knor/internal/shardserve"
@@ -117,7 +107,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		threads      = flag.Int("threads", 0, "goroutines per assign flush (0 = GOMAXPROCS); float64 flushes split only from 2^20 multiply-adds")
+		threads      = flag.Int("threads", 0, "most goroutines per assign flush (0 = GOMAXPROCS); a flush splits only from 2^20 multiply-adds")
 		nodes        = flag.Int("nodes", 4, "simulated NUMA nodes to pin model shards across")
 		machines     = flag.Int("machines", 1, "shard each model's centroids across this many simulated machines (1 = single-node assigner)")
 		replicas     = flag.Int("replicas", 1, "replicas per shard group: /assign fails over across them, so replicas-1 machine deaths stay invisible (needs -machines > 1)")
@@ -125,7 +115,6 @@ func main() {
 		stateDir     = flag.String("state", "", "directory for model snapshot persistence; reloaded on restart (empty = none)")
 		publishEvery = flag.Int("publish-every", 4096, "auto-publish a stream model every N observed rows (0 = manual)")
 		precision    = flag.String("precision", "64", "assign-path element type: 32 | 64")
-		quantize     = flag.String("quantize", "", "int8: serve /assign via the quantized centroid scan + exact re-rank (requires -precision 32; answers stay bit-identical)")
 		retainVers   = flag.Int("retain-versions", 0, "retained model versions per name (0 = default 8)")
 		retainAge    = flag.Duration("retain-age", 0, "evict unpinned versions older than this (0 = no age bound)")
 		drainWait    = flag.Duration("drain", 15*time.Second, "max time to drain in-flight requests on shutdown")
@@ -153,17 +142,6 @@ func main() {
 	prec, err := cliutil.ParsePrecision(*precision)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "knorserve:", err)
-		os.Exit(2)
-	}
-	switch *quantize {
-	case "":
-	case "int8":
-		if prec != kmeans.Precision32 {
-			fmt.Fprintln(os.Stderr, "knorserve: -quantize int8 requires -precision 32")
-			os.Exit(2)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "knorserve: unknown -quantize %q (want int8)\n", *quantize)
 		os.Exit(2)
 	}
 	telemetry.SetEnabled(*telemetryOn)
@@ -215,7 +193,7 @@ func main() {
 	srv, err := newServer(serverOptions{
 		transport: transport, threads: *threads,
 		nodes: *nodes, machines: *machines, replicas: *replicas, quota: *quota, stateDir: *stateDir,
-		publishEvery: *publishEvery, precision: prec, quantize: *quantize,
+		publishEvery: *publishEvery, precision: prec,
 		retainVersions: *retainVers, retainAge: *retainAge,
 		pprof: *pprofOn, traceEvery: *traceEvery, accessLog: *accessLog,
 	})
@@ -244,12 +222,8 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	mode := prec.String()
-	if *quantize != "" {
-		mode += "+" + *quantize
-	}
 	fmt.Printf("knorserve listening on %s (threads=%d precision=%s machines=%d replicas=%d)\n",
-		ln.Addr(), *threads, mode, *machines, *replicas)
+		ln.Addr(), *threads, prec, *machines, *replicas)
 	if err := serveUntil(ctx, ln, srv, *drainWait); err != nil {
 		fmt.Fprintln(os.Stderr, "knorserve:", err)
 		os.Exit(1)

@@ -456,6 +456,50 @@ func TestClusterStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestClusterStatsInflight parks one /assign flush and requires rank
+// 0's inflight on /v1/cluster/stats to read 1, on the single-node path
+// and on the sharded path, whose edge records its own gauge.
+func TestClusterStatsInflight(t *testing.T) {
+	for _, machines := range []int{1, 2} {
+		s, ts := newTestServer(t, serverOptions{machines: machines})
+		if code, body := postJSON(t, ts.URL+"/v1/models",
+			`{"name":"inf","k":2,"rows":[[0,0],[0,1],[1,0],[1,1]]}`); code != http.StatusCreated {
+			t.Fatalf("create: %d %v", code, body)
+		}
+		release := parkAssigns(t, s)
+		parked := make(chan int, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/assign", "application/json",
+				strings.NewReader(`{"model":"inf","rows":[[0.5,0.5]]}`))
+			if err != nil {
+				t.Errorf("parked request: %v", err)
+				parked <- 0
+				return
+			}
+			resp.Body.Close()
+			parked <- resp.StatusCode
+		}()
+		waitFor(t, "the parked request to be admitted", func() bool {
+			return s.batcher.InFlight()["inf"] == 1
+		})
+		waitFor(t, fmt.Sprintf("machines=%d: rank 0 inflight to read 1", machines), func() bool {
+			var stats struct {
+				Ranks []struct {
+					Inflight float64 `json:"inflight"`
+				} `json:"ranks"`
+			}
+			if code := getJSON(t, ts.URL+"/v1/cluster/stats", &stats); code != http.StatusOK || len(stats.Ranks) == 0 {
+				t.Fatalf("cluster/stats: %d %+v", code, stats)
+			}
+			return stats.Ranks[0].Inflight == 1
+		})
+		release()
+		if code := <-parked; code != http.StatusOK {
+			t.Fatalf("machines=%d: parked request answered %d", machines, code)
+		}
+	}
+}
+
 // TestEventsJournalEndpoint: /debug/events serves the structured
 // journal with a working since-seq cursor, and cluster activity (a
 // publish) lands in it.

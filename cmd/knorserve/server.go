@@ -43,9 +43,6 @@ type serverOptions struct {
 	// precision selects the assign hot path's element type (the
 	// -precision flag): float32 halves per-flush memory traffic.
 	precision kmeans.Precision
-	// quantize, when "int8" (the -quantize flag, float32 only), serves
-	// /assign via the quantized centroid scan + exact re-rank.
-	quantize string
 	// retainVersions/retainAge bound the registry's per-model history.
 	retainVersions int
 	retainAge      time.Duration
@@ -130,7 +127,7 @@ func newServer(opts serverOptions) (*server, error) {
 		tracer = telemetry.NewTracer(opts.traceEvery, 16)
 	}
 	bopts := serve.BatcherOptions{
-		Threads: opts.threads, ModelQuota: opts.quota, Tracer: tracer, Quantize: opts.quantize,
+		Threads: opts.threads, ModelQuota: opts.quota, Tracer: tracer,
 	}
 	var batcher serve.Assigner
 	var shards *shardserve.ShardRegistry
@@ -804,7 +801,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"models":         len(s.reg.List()),
 		"avg_batch":      avgBatch(st),
 		"precision":      s.opts.precision.String(),
-		"quantize":       s.opts.quantize,
 		"machines":       machines,
 		"replicas":       replicas,
 		"inflight":       s.batcher.InFlight(),

@@ -371,3 +371,26 @@ func TestE2EAutoPublish(t *testing.T) {
 		t.Fatalf("auto-publish version: %v", body)
 	}
 }
+
+// TestE2EZeroDimCreateRejected pins the boundary fix: training rows
+// with zero dimensions (or an empty spec shape) must be a clean 400,
+// not a panic inside the distance kernels.
+func TestE2EZeroDimCreateRejected(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{})
+	for _, body := range []string{
+		`{"name":"z","k":2,"rows":[[]]}`,
+		`{"name":"z","k":2,"rows":[[],[]]}`,
+		`{"name":"z","k":2,"spec":{"n":10,"d":0,"clusters":2}}`,
+		`{"name":"z","k":2,"spec":{"n":0,"d":4,"clusters":2}}`,
+	} {
+		code, resp := postJSON(t, ts.URL+"/v1/models", body)
+		if code != http.StatusBadRequest {
+			t.Errorf("create %s: code %d (%v), want 400", body, code, resp)
+		}
+	}
+	// The server still works after the rejected creates.
+	if code, body := postJSON(t, ts.URL+"/v1/models",
+		`{"name":"ok","k":2,"spec":{"n":100,"d":4,"clusters":2,"seed":1}}`); code != http.StatusCreated {
+		t.Fatalf("create after rejections: %d %v", code, body)
+	}
+}

@@ -141,6 +141,26 @@ func Dgemm[T Float](alpha T, a []T, m, k int, b []T, n int, beta T, c []T, threa
 	wg.Wait()
 }
 
+// splitWork is the number of multiply-adds, m·k·d, from which a
+// serving flush splits across goroutines. On a 2-core host the split
+// paid at 1024×100×16 and 128×1000×32 (1.6M and 4.1M) and did not at
+// 512×100×16 and 32×1000×32 (0.8M and 1.0M); EXPERIMENTS.md
+// §Block-free float64 flush has the readings.
+const splitWork = 1 << 20
+
+// SplitThreads is the goroutine count for a serving flush of m query
+// rows against k×d centroids, given up to threads: 1 when threads ≤ 1
+// or the flush is below splitWork multiply-adds, where starting
+// goroutines costs more than it saves, and threads otherwise.
+// NearestRows applies it to float64 flushes; float32 flushes pass its
+// answer to Dgemm.
+func SplitThreads(m, k, d, threads int) int {
+	if threads <= 1 || m*k*d < splitWork {
+		return 1
+	}
+	return threads
+}
+
 // dgemmRange dispatches rows [rlo, rhi) to the width-specific kernel.
 // When the CPU probe enabled them (see kernels.go) the assembly drivers
 // take both widths: float64 asm is bit-identical to the reference

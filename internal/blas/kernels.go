@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // Kernel dispatch state. Each architecture's init (kernels_amd64.go,
 // kernels_arm64.go) probes the CPU and, when the required features are
-// present, flips asmEnabled so dgemmRange and Gemm8 route through the
-// assembly microkernels. The pure-Go tiled kernels remain the guaranteed
+// present, flips asmEnabled so dgemmRange routes through the assembly
+// microkernels. The pure-Go tiled kernels remain the guaranteed
 // fallback: a `noasm` build tag (or an unsupported CPU) leaves the
 // dispatch permanently on them, and SetAsmEnabled lets benchmarks and
 // parity tests flip between the two paths in-process.
@@ -29,8 +29,8 @@ var (
 // on this CPU (false under the noasm build tag).
 func AsmSupported() bool { return asmSupported }
 
-// AsmEnabled reports whether Dgemm and Gemm8 currently dispatch to the
-// assembly kernels.
+// AsmEnabled reports whether Dgemm currently dispatches to the assembly
+// kernels.
 func AsmEnabled() bool { return asmEnabled.Load() }
 
 // SetAsmEnabled switches kernel dispatch between the assembly and

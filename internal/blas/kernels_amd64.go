@@ -60,15 +60,6 @@ func gemmKern32(a0, a1, pack, c0, c1 *float32, jn, ldp, kl, rows int, alpha floa
 //go:noescape
 func gemmKern64(a0, a1, pack, c0, c1 *float64, jn, ldp, kl, rows int, alpha float64)
 
-// dotKern8 fills out[j] = Σ_p q[p]·b[j*ldb+p] for j ∈ [0, n) over the
-// first kl ∈ 16ℤ inner elements (the Go wrapper adds the scalar tail):
-// sign-extend 16 int8 lanes to int16, VPMADDWD into 8 int32 partials,
-// horizontal-sum per row. Products are ≤ 127², so the int16-pair dot of
-// VPMADDWD cannot overflow and the int32 accumulator is exact.
-//
-//go:noescape
-func dotKern8(q, b *int8, ldb, n, kl int, out *int32)
-
 // sqDistKern64 fills out[j] = Σ_{p<dl} (x[p] − y[j·ld+p])² for
 // j ∈ [0, n): n a multiple of 8, dl a positive multiple of 4. Separate
 // VSUBPD, VMULPD and VADDPD, one accumulator lane per row, columns

@@ -392,59 +392,6 @@ f64done:
 	VZEROUPPER
 	RET
 
-// func dotKern8(q, b *int8, ldb, n, kl int, out *int32)
-//
-// out[j] = Σ_{p<kl} q[p]·b[j*ldb+p], kl a multiple of 16 (the Go
-// wrapper adds the scalar tail). 16 int8 sign-extend to int16 lanes,
-// VPMADDWD pairs them into 8 exact int32 partials (|prod| ≤ 2·127²,
-// far inside int16-pair range), VPADDD accumulates, horizontal sum.
-TEXT ·dotKern8(SB), NOSPLIT, $0-48
-	MOVQ q+0(FP), SI
-	MOVQ b+8(FP), BX
-	MOVQ ldb+16(FP), R11
-	MOVQ n+24(FP), R10
-	MOVQ kl+32(FP), R12
-	MOVQ out+40(FP), R8
-	XORQ R14, R14
-
-i8rows:
-	CMPQ R14, R10
-	JGE  i8done
-	VPXOR Y0, Y0, Y0
-	MOVQ R14, AX
-	IMULQ R11, AX
-	LEAQ (BX)(AX*1), CX
-	MOVQ SI, DX
-	MOVQ R12, AX
-	TESTQ AX, AX
-	JZ   i8sum
-
-i8inner:
-	VPMOVSXBW (DX), Y8
-	VPMOVSXBW (CX), Y9
-	VPMADDWD Y8, Y9, Y10
-	VPADDD Y10, Y0, Y0
-	ADDQ $16, DX
-	ADDQ $16, CX
-	SUBQ $16, AX
-	JNZ  i8inner
-
-i8sum:
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD X1, X0, X0
-	VPSHUFD $0x4e, X0, X1
-	VPADDD X1, X0, X0
-	VPSHUFD $0xb1, X0, X1
-	VPADDD X1, X0, X0
-	MOVL X0, AX
-	MOVL AX, (R8)(R14*4)
-	INCQ R14
-	JMP  i8rows
-
-i8done:
-	VZEROUPPER
-	RET
-
 // func sqDistKern64(x, y *float64, ld, dl, n int, out *float64)
 //
 // out[j] = Σ_{p<dl} (x[p] − y[j·ld+p])² for j ∈ [0, n), with n a

@@ -25,12 +25,6 @@ func gemmKern32(a0, a1, pack, c0, c1 *float32, jn, ldp, kl, rows int, alpha floa
 //go:noescape
 func gemmKern64(a0, a1, pack, c0, c1 *float64, jn, ldp, kl, rows int, alpha float64)
 
-// dotKern8 — SMULL/SMULL2 + SADALP int8 dot rows; exact int32, same
-// contract as the amd64 kernel (kl a multiple of 16, Go wrapper tails).
-//
-//go:noescape
-func dotKern8(q, b *int8, ldb, n, kl int, out *int32)
-
 // sqDistRowsAsm64 has no NEON kernel: SqDistRows runs its Go loop over
 // every row.
 func sqDistRowsAsm64(x, y []float64, n int, out []float64) int { return 0 }

@@ -93,27 +93,3 @@ func dgemmBlockAsm64(alpha float64, a []float64, m, k int, b []float64, n int, c
 func panelTileAsm64(alpha float64, a0, a1, t, c0, c1 []float64, jn, ld, rows int) {
 	gemmKern64(&a0[0], &a1[0], &t[0], &c0[0], &c1[0], jn, ld, len(a0), rows, alpha)
 }
-
-// scanRowsI8Asm fills out[j] = Σ_p q[p]·b[j*d+p] for j ∈ [0, n) using
-// the SIMD int8 dot kernel for the 16-aligned prefix of d and a scalar
-// tail. All arithmetic is exact in int32, so asm and pure-Go scans are
-// identical by construction.
-func scanRowsI8Asm(q []int8, b []int8, n, d int, out []int32) {
-	kl := d &^ 15
-	if kl > 0 {
-		dotKern8(&q[0], &b[0], d, n, kl, &out[0])
-	} else {
-		clear(out[:n])
-	}
-	if kl == d {
-		return
-	}
-	for j := 0; j < n; j++ {
-		row := b[j*d : (j+1)*d]
-		var s int32
-		for p := kl; p < d; p++ {
-			s += int32(q[p]) * int32(row[p])
-		}
-		out[j] += s
-	}
-}

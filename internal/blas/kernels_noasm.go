@@ -16,12 +16,6 @@ func dgemmBlockAsm64(alpha float64, a []float64, m, k int, b []float64, n int, c
 	dgemmBlock(alpha, a, m, k, b, n, c, rlo, rhi)
 }
 
-func scanRowsI8Asm(q []int8, b []int8, n, d int, out []int32) {
-	for j := 0; j < n; j++ {
-		out[j] = scanRowI8(q, b[j*d:(j+1)*d])
-	}
-}
-
 func sqDistRowsAsm64(x, y []float64, n int, out []float64) int { return 0 }
 
 // panelTileAsm64 has no Go body: NearestRows runs dgemmBlock instead

@@ -197,85 +197,6 @@ func TestDgemmDegenerateShapes(t *testing.T) {
 	blas.Dgemm[float32](1, []float32{1, 2, 3}, 1, 3, nil, 0, 2, nil, 2)
 }
 
-func TestGemm8AsmParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for _, sh := range [][3]int{{1, 1, 1}, {3, 7, 15}, {2, 9, 16}, {5, 12, 17}, {4, 100, 48}, {8, 33, 1000}} {
-		m, k, d := sh[0], sh[1], sh[2]
-		q := make([]int8, m*d)
-		b := make([]int8, k*d)
-		for i := range q {
-			q[i] = int8(rng.Intn(255) - 127)
-		}
-		for i := range b {
-			b[i] = int8(rng.Intn(255) - 127)
-		}
-		outAsm := make([]int32, m*k)
-		outGo := make([]int32, m*k)
-		prev := blas.SetAsmEnabled(true)
-		blas.Gemm8(q, m, d, b, k, outAsm, 2)
-		blas.SetAsmEnabled(false)
-		blas.Gemm8(q, m, d, b, k, outGo, 1)
-		blas.SetAsmEnabled(prev)
-		for i := range outAsm {
-			if outAsm[i] != outGo[i] {
-				t.Fatalf("shape %v: out[%d] asm=%d go=%d", sh, i, outAsm[i], outGo[i])
-			}
-		}
-		// Exact check against a big-int-free but widened accumulation.
-		for i := 0; i < m; i++ {
-			for j := 0; j < k; j++ {
-				var want int64
-				for p := 0; p < d; p++ {
-					want += int64(q[i*d+p]) * int64(b[j*d+p])
-				}
-				if int64(outGo[i*k+j]) != want {
-					t.Fatalf("shape %v: out[%d,%d]=%d want %d", sh, i, j, outGo[i*k+j], want)
-				}
-			}
-		}
-	}
-}
-
-func TestQuantizeRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	const rows, cols = 20, 33
-	a := make([]float32, rows*cols)
-	for i := range a {
-		a[i] = float32(rng.NormFloat64()) * float32(math.Pow(10, float64(rng.Intn(5)-2)))
-	}
-	// Row 3: all zeros; row 5: single huge outlier.
-	for p := 0; p < cols; p++ {
-		a[3*cols+p] = 0
-	}
-	a[5*cols+7] = 3e8
-	q := blas.QuantizeRows(a, rows, cols)
-	for i := 0; i < rows; i++ {
-		s := q.Scale[i]
-		var abs int32
-		for p := 0; p < cols; p++ {
-			c := q.Data[i*cols+p]
-			if c < -127 || c > 127 {
-				t.Fatalf("row %d: code %d out of range", i, c)
-			}
-			if c < 0 {
-				abs -= int32(c)
-			} else {
-				abs += int32(c)
-			}
-			// Dequantization error ≤ s/2 plus float slack.
-			if d := math.Abs(float64(a[i*cols+p]) - s*float64(c)); d > s/2*(1+1e-9)+1e-12 {
-				t.Fatalf("row %d col %d: |x - s·q| = %g > s/2 = %g", i, p, d, s/2)
-			}
-		}
-		if abs != q.AbsSum[i] {
-			t.Fatalf("row %d: AbsSum %d want %d", i, q.AbsSum[i], abs)
-		}
-	}
-	if q.Scale[3] != 1 {
-		t.Fatalf("zero row scale = %v want 1", q.Scale[3])
-	}
-}
-
 func FuzzDgemmAsmParity(f *testing.F) {
 	f.Add(int64(1), 3, 5, 7)
 	f.Add(int64(2), 1, 1, 1)

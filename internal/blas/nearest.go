@@ -2,13 +2,6 @@ package blas
 
 import "sync"
 
-// nearestSplitWork is the number of multiply-adds, m·k·d, from which
-// NearestRows splits a flush across goroutines. On a 2-core host the
-// split paid at 1024×100×16 and 128×1000×32 (1.6M and 4.1M) and did not
-// at 512×100×16 and 32×1000×32 (0.8M and 1.0M); EXPERIMENTS.md
-// §Block-free float64 flush has the readings.
-const nearestSplitWork = 1 << 20
-
 // Panel is a k×d float64 centroid matrix laid out for NearestRows:
 // element [p][j] of its d×ld table is centroid j's coordinate p, with
 // ld = k rounded up to the vector width and the pad columns zeroed.
@@ -81,10 +74,10 @@ func resize(s []float64, n int) []float64 {
 // a strict-< scan from j = 0 give, without the block. For each pair of
 // rows the tile kernel adds every 64-wide p block's −2·aᵢ·cⱼ into the
 // panel's accumulator in Dgemm's block order, and the argmin adds
-// (acc + ‖aᵢ‖²) + ‖cⱼ‖² and keeps the first smallest. A flush of
-// nearestSplitWork multiply-adds or more splits into contiguous row
-// stripes across threads goroutines, each with its own accumulator;
-// smaller ones run on the calling goroutine.
+// (acc + ‖aᵢ‖²) + ‖cⱼ‖² and keeps the first smallest. A flush that
+// SplitThreads splits runs in contiguous row stripes across threads
+// goroutines, each with its own accumulator; others run on the calling
+// goroutine.
 func NearestRows(a []float64, m int, p *Panel, normsSq, best []float64, idx []int32, threads int) {
 	k, d := p.k, p.d
 	if len(a) < m*d || len(normsSq) < k || len(best) < m || len(idx) < m {
@@ -99,7 +92,8 @@ func NearestRows(a []float64, m int, p *Panel, normsSq, best []float64, idx []in
 	} else {
 		telGemmGo64.Inc()
 	}
-	if threads <= 1 || m*k*d < nearestSplitWork {
+	threads = SplitThreads(m, k, d, threads)
+	if threads == 1 {
 		p.nearestRange(a, normsSq, best, idx, p.acc, 0, m, asm)
 		return
 	}

@@ -73,6 +73,29 @@ func FuzzNearestRowsParity(f *testing.F) {
 	})
 }
 
+// TestSplitThreads pins the split rule both precisions' flushes share:
+// one goroutine at threads ≤ 1 or below 2^20 multiply-adds (m·k·d),
+// all threads from there up.
+func TestSplitThreads(t *testing.T) {
+	for _, c := range []struct{ m, k, d, threads, want int }{
+		{4, 100, 16, 2, 1},      // the d16 request: 6400
+		{512, 100, 16, 2, 1},    // 819200
+		{1024, 1023, 1, 4, 1},   // one below 2^20
+		{1024, 1024, 1, 3, 3},   // exactly 2^20
+		{1024, 1024, 1, 1, 1},   // 2^20 on one thread
+		{64, 1000, 32, 2, 2},    // the d32 request: 2048000
+		{64, 1000, 32, 0, 1},    // threads unset
+		{64, 1000, 32, -1, 1},   // threads negative
+		{4096, 10000, 64, 3, 3}, // far above
+		{0, 1000, 32, 2, 1},     // an empty flush
+	} {
+		if got := blas.SplitThreads(c.m, c.k, c.d, c.threads); got != c.want {
+			t.Errorf("SplitThreads(m=%d, k=%d, d=%d, threads=%d) = %d, want %d",
+				c.m, c.k, c.d, c.threads, got, c.want)
+		}
+	}
+}
+
 // BenchmarkNearestRows times one float64 flush's distance computation
 // at the benchmark's request shapes, with the assembly kernels on and
 // off: d16 (4 rows, k=100, d=16), d32 (64 rows, k=1000, d=32) and a

@@ -15,9 +15,4 @@ var (
 	telGemmGo64  = telGemmDispatch.With("go64")
 	telGemmAsm32 = telGemmDispatch.With("asm32")
 	telGemmAsm64 = telGemmDispatch.With("asm64")
-
-	// telQuantScans counts int8 quantized scan calls (Gemm8 stripes).
-	telQuantScans = telemetry.Default.Counter(
-		"knor_blas_quant_scans_total",
-		"Quantized int8 centroid-scan stripes executed.")
 )

@@ -27,10 +27,10 @@ type Assignment struct {
 
 // BatcherOptions tune the assignment path.
 type BatcherOptions struct {
-	// Threads splits a flush's distance computation across goroutines
-	// (default 1): always for the float32 and int8 GEMMs, and for a
-	// float64 flush only from 2^20 multiply-adds (m·k·d) up, below
-	// which the split did not pay (blas.NearestRows).
+	// Threads is the most goroutines one flush's distance computation
+	// splits across (default 1). Either precision splits only a flush
+	// of 2^20 multiply-adds (m·k·d) or more, below which the split did
+	// not pay (blas.SplitThreads).
 	Threads int
 	// ModelQuota bounds in-flight requests per model (queued or being
 	// answered); further AssignBatch calls fail fast with an error
@@ -41,13 +41,6 @@ type BatcherOptions struct {
 	// tracing). Ignored when Shard is set: a shard batcher records onto
 	// traces injected by the edge instead of sampling its own.
 	Tracer *telemetry.Tracer
-	// Quantize selects the approximate scan for the float32 assign path:
-	// "int8" scans all k centroids with the int8×int8→int32 kernel and
-	// re-ranks the margin-surviving candidates exactly, keeping answers
-	// bit-identical to the exact path (see quant.go). "" (default) runs
-	// the exact GEMM scan. Only the float32 instantiation honours it;
-	// float64 batchers ignore the option.
-	Quantize string
 	// Shard marks a batcher that answers one shard group behind a
 	// fan-out edge. It reports raw squared distances from the GEMM
 	// identity, without clamping small negative cancellation noise to
@@ -393,17 +386,7 @@ func (b *BatcherOf[T]) flush(batch []pendingReq[T]) {
 			}
 		}
 		gemmStart := time.Now()
-		var assigns []Assignment
-		if a32, ok := any(a).([]float32); ok && b.opts.Quantize == "int8" {
-			var fallbacks int
-			assigns, fallbacks = assignBlockQuant(a32, total, snap, b.opts.Threads, b.opts.Shard)
-			telQuantRows.Add(uint64(total))
-			if fallbacks > 0 {
-				telQuantFallbacks.Add(uint64(fallbacks))
-			}
-		} else {
-			assigns = b.assignBlock(a, total, snap)
-		}
+		assigns := b.assignBlock(a, total, snap)
 		gemmEnd := time.Now()
 		telGemmSeconds.Observe(gemmEnd.Sub(gemmStart).Seconds())
 		row := 0
@@ -437,8 +420,7 @@ func (b *BatcherOf[T]) assignBlock(a []T, m int, snap *Model) []Assignment {
 // assignPanel answers a float64 block without the m×k distance block:
 // blas.NearestRows runs each pair of rows against the batcher's
 // centroid panel, which is rebuilt in place only when a flush names
-// another snapshot than the last one. Only flushes of 2^20
-// multiply-adds or more split across Threads.
+// another snapshot than the last one.
 func (b *BatcherOf[T]) assignPanel(a []float64, m int, snap *Model) []Assignment {
 	cents, normsSq := centroidsOf[float64](snap)
 	if b.panelOf != snap {
@@ -458,8 +440,8 @@ func (b *BatcherOf[T]) assignPanel(a []float64, m int, snap *Model) []Assignment
 }
 
 // assignGemm is the GEMM path: Dgemm fills a pooled m×k distance block,
-// split across Threads goroutines, and a scan takes each row's first
-// smallest distance.
+// on as many goroutines as blas.SplitThreads allows, and a scan takes
+// each row's first smallest distance.
 func (b *BatcherOf[T]) assignGemm(a []T, m int, snap *Model) []Assignment {
 	k, d := snap.K(), snap.Dims()
 	cents, normsSq := centroidsOf[T](snap)
@@ -473,7 +455,7 @@ func (b *BatcherOf[T]) assignGemm(a []T, m int, snap *Model) []Assignment {
 	// beta first, and beta = 0 would turn a ±Inf an earlier flush left
 	// in the block into NaN (0·Inf).
 	clear(dist)
-	blas.Dgemm(-2, a, m, d, cents.Data, k, 1, dist, b.opts.Threads)
+	blas.Dgemm(-2, a, m, d, cents.Data, k, 1, dist, blas.SplitThreads(m, k, d, b.opts.Threads))
 	an := make([]T, m)
 	blas.RowNormsSq(a, m, d, an)
 	out := make([]Assignment, m)

@@ -9,6 +9,7 @@ import (
 
 	"knor/internal/blas"
 	"knor/internal/matrix"
+	"knor/internal/telemetry"
 )
 
 // blockFixture is an m-row query block against a k×d model of normal
@@ -207,6 +208,50 @@ func checkSameAnswers(t *testing.T, label string, got, want []Assignment) {
 	}
 }
 
+// TestAssignGemm32SplitParity checks that the float32 flush's answers
+// do not depend on Threads once the flush is large enough to split
+// (m·k·d ≥ 2^20), with the assembly kernels on and off. 67 rows give
+// 3 threads stripes of 23, so rows 22 and 45, which share a row pair
+// with a neighbour at 1 thread, run alone at 3. A flush below the
+// threshold runs as one Dgemm row stripe at any Threads.
+func TestAssignGemm32SplitParity(t *testing.T) {
+	const m, k, d = 67, 1000, 32
+	one, snap, rows := blockFixture[float32](t, m, k, d)
+	three := &BatcherOf[float32]{opts: BatcherOptions{Threads: 3}.withDefaults()}
+	for _, asm := range []bool{true, false} {
+		prev := blas.SetAsmEnabled(asm)
+		before := float32Stripes()
+		got := three.assignBlock(rows, m, snap)
+		if n := float32Stripes() - before; n != 3 {
+			t.Fatalf("asm=%v: a %d×%d×%d flush at 3 threads ran %v row stripes, want 3", asm, m, k, d, n)
+		}
+		checkSameAnswers(t, fmt.Sprintf("asm=%v threads=3 against 1", asm), got, one.assignBlock(rows, m, snap))
+		blas.SetAsmEnabled(prev)
+	}
+	before := float32Stripes()
+	three.assignBlock(rows[:4*d], 4, snap)
+	if n := float32Stripes() - before; n != 1 {
+		t.Fatalf("a 4×%d×%d flush at 3 threads ran %v row stripes, want 1", k, d, n)
+	}
+}
+
+// float32Stripes reads the float32 children of
+// knor_blas_gemm_dispatch_total, which count Dgemm row stripes.
+func float32Stripes() float64 {
+	var n float64
+	for _, fam := range telemetry.Default.Snapshot() {
+		if fam.Name != "knor_blas_gemm_dispatch_total" {
+			continue
+		}
+		for _, sm := range fam.Samples {
+			if sm.Labels[0] == "asm32" || sm.Labels[0] == "go32" {
+				n += sm.Value
+			}
+		}
+	}
+	return n
+}
+
 // TestAssignPanelFollowsSnapshot checks the panel cache: one batcher
 // answering two models in turn, and a model across a republish, must
 // answer every flush from the snapshot it names.
@@ -241,12 +286,15 @@ func TestAssignPanelFollowsSnapshot(t *testing.T) {
 // BenchmarkAssignBlock times one flush's distance computation at the
 // benchmark workloads' request shapes, single-threaded: d16 (4 rows,
 // k=100, d=16), d32 (64 rows, k=1000, d=32) and one of the d32
-// cluster's two shards (64 rows, k=500).
+// cluster's two shards (64 rows, k=500). k10000d64 (64 rows, k=10000,
+// d=64) is a model whose 5 MB panel outgrows L2, where the block-free
+// path loses to Dgemm + scan (EXPERIMENTS.md §Block-free float64
+// flush).
 func BenchmarkAssignBlock(b *testing.B) {
 	for _, s := range []struct {
 		name    string
 		m, k, d int
-	}{{"d16", 4, 100, 16}, {"d32", 64, 1000, 32}, {"d32shard", 64, 500, 32}} {
+	}{{"d16", 4, 100, 16}, {"d32", 64, 1000, 32}, {"d32shard", 64, 500, 32}, {"k10000d64", 64, 10000, 64}} {
 		b.Run(s.name, func(b *testing.B) {
 			bat, snap, rows := blockFixture[float64](b, s.m, s.k, s.d)
 			b.ReportAllocs()

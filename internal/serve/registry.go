@@ -46,12 +46,6 @@ type Model struct {
 	mirrorOnce sync.Once
 	c32        *matrix.Mat[float32]
 	n32        []float32
-
-	// q8 is the per-snapshot int8 quantization of the float32 mirror,
-	// built lazily on the first quantized flush (quantOnce) — exact-path
-	// deployments never pay for it, quantized flushes build it once.
-	quantOnce sync.Once
-	q8        *blas.QuantizedRows
 }
 
 // K returns the number of centroids.

@@ -32,11 +32,6 @@ var (
 	telInflight = telemetry.Default.GaugeVec("knor_serve_inflight_requests",
 		"In-flight assignment requests per model at the single-node edge.", "model")
 
-	telQuantRows = telemetry.Default.Counter("knor_serve_quant_rows_total",
-		"Query rows answered by the int8 quantized scan + exact re-rank path.")
-	telQuantFallbacks = telemetry.Default.Counter("knor_serve_quant_rerank_fallbacks_total",
-		"Quantized rows whose margin exceeded the re-rank cap, answered by a full exact scan.")
-
 	telPublishes = telemetry.Default.Counter("knor_registry_publishes_total",
 		"Model versions published or restored into a registry.")
 	telEvictions = telemetry.Default.Counter("knor_registry_evictions_total",

@@ -68,7 +68,7 @@ type AssignerOf[T blas.Float] struct {
 }
 
 // NewAssignerOf starts the sharded assignment path at element type T.
-// Threads and Quantize apply per shard batcher (see shardOptions).
+// Threads applies per shard batcher (see shardOptions).
 // ModelQuota is enforced here at the fan-out edge — a rejected request
 // must burn zero GEMM time on ANY shard — and the edge instruments
 // (request counts, latency, in-flight) are reported here, once per
@@ -87,11 +87,11 @@ func NewAssignerOf[T blas.Float](sr *ShardRegistry, opts serve.BatcherOptions) *
 }
 
 // shardOptions derives a shard batcher's options from the edge's: the
-// same GEMM threads and scan, marked Shard, with no quota or tracer
+// same GEMM threads, marked Shard, with no quota or tracer
 // (the edge owns both). In-process and remote replicas build their
 // batchers from it, so each computes exactly what the other would.
 func shardOptions(edge serve.BatcherOptions) serve.BatcherOptions {
-	return serve.BatcherOptions{Threads: edge.Threads, Quantize: edge.Quantize, Shard: true}
+	return serve.BatcherOptions{Threads: edge.Threads, Shard: true}
 }
 
 // NewAssigner builds the sharded assignment path at the requested

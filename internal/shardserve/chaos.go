@@ -56,11 +56,6 @@ type ChaosConfig struct {
 	// sharded path. Publishes go through PublishOf at that element
 	// width, so float32 runs move 4-byte shard payloads end to end.
 	Precision kmeans.Precision
-	// Quantize, when "int8" (float32 runs only), serves the sharded
-	// path through the quantized scan + exact re-rank while the oracle
-	// stays on the exact path — the run then proves the quantized
-	// distributed answers are bit-identical to exact single-node ones.
-	Quantize string
 	// Seed drives the kill schedule, centroids, queries, republishes.
 	Seed int64
 	// KillEvery kills one machine every that-many rounds (0 = never);
@@ -259,7 +254,7 @@ func runChaosOf[T blas.Float](cfg ChaosConfig) (ChaosStats, error) {
 	if _, err := PublishOf(sr, "chaos", matrix.Convert[T](cents)); err != nil {
 		return stats, err
 	}
-	asn := NewAssignerOf[T](sr, serve.BatcherOptions{Quantize: cfg.Quantize})
+	asn := NewAssignerOf[T](sr, serve.BatcherOptions{})
 	defer asn.Close()
 
 	// The oracle: a single-node batcher over the same snapshots,

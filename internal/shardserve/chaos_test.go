@@ -431,32 +431,3 @@ func TestChaosSpreadBytesHalvedAtFloat32(t *testing.T) {
 	}
 	t.Logf("spread bytes: f64=%d f32=%d ratio=%.3f", s64.SpreadBytes, s32.SpreadBytes, ratio)
 }
-
-// TestChaosQuantizedParity serves the sharded path through the int8
-// quantized scan + exact re-rank while the oracle stays exact, under
-// kills, failover and republishes: every answered row must still be
-// bit-identical to the exact single-node oracle.
-func TestChaosQuantizedParity(t *testing.T) {
-	stats, err := RunChaos(ChaosConfig{
-		Machines: 3, Replicas: 2, MaxDead: 1,
-		Rounds: 14, PublishEvery: 5,
-		Precision: kmeans.Precision32, Quantize: "int8",
-		Seed: *chaosSeed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Kills == 0 {
-		t.Fatal("kill schedule never fired")
-	}
-	if stats.Errors != 0 {
-		t.Errorf("%d client-visible errors (seed %d)", stats.Errors, *chaosSeed)
-	}
-	if stats.Wrong != 0 {
-		t.Errorf("%d quantized rows differ from the exact oracle (seed %d)", stats.Wrong, *chaosSeed)
-	}
-	if stats.FinalErrors != 0 || stats.FinalWrong != 0 {
-		t.Errorf("post-recovery: %d errors, %d wrong rows (seed %d)",
-			stats.FinalErrors, stats.FinalWrong, *chaosSeed)
-	}
-}

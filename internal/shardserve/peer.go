@@ -15,8 +15,8 @@ import (
 type PeerOptions struct {
 	// Batcher configures the peer's shard batchers. The peer builds
 	// them exactly as the in-process assigner builds its own
-	// (shardOptions: Threads and Quantize, marked Shard), so a remote
-	// replica computes exactly what a local one would.
+	// (shardOptions: Threads, marked Shard), so a remote replica
+	// computes exactly what a local one would.
 	Batcher serve.BatcherOptions
 	// PulseEvery is the heartbeat cadence (default: a quarter of the
 	// topology's pulse timeout, matching the in-process clock).
