@@ -100,9 +100,10 @@ io-smoke:
 
 # Distributed-serving smoke (mirrors CI): the sharded-vs-single-node
 # bit-identity property tests (machines x precision x argmin ties, and
-# across a republish).
+# across a republish) and the clamp-once check (cancellation noise is
+# clamped after the cross-shard min, not inside each shard).
 shardserve-smoke:
-	$(GO) test -run 'TestShardParity' ./internal/shardserve
+	$(GO) test -run 'TestShardParity|TestClampAfterGlobalMin' ./internal/shardserve
 
 # Chaos smoke (mirrors CI, deterministic, well under 30s): the seeded
 # kill-schedule harness — replicated shard serving stays oracle-exact

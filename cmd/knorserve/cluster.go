@@ -85,10 +85,10 @@ func (s *server) handleClusterStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // edgeFamily names the telemetry family with the given suffix that
-// this process's /v1/assign edge records: the fan-out edge's
-// (knor_shardserve_…) when the server shards its models over machines,
-// the single-node batcher's (knor_serve_…) otherwise. Shard batchers
-// record neither.
+// this process's /v1/assign edge records. Both deployments run one
+// serve.Edge, on the fan-out's family (knor_shardserve_…) when the
+// server shards its models over machines, on the single-node family
+// (knor_serve_…) otherwise; shard batchers answer below it.
 func (s *server) edgeFamily(suffix string) string {
 	if s.shards != nil {
 		return "knor_shardserve_" + suffix

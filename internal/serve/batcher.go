@@ -33,25 +33,12 @@ type BatcherOptions struct {
 	// not pay (blas.SplitThreads).
 	Threads int
 	// ModelQuota bounds in-flight requests per model (queued or being
-	// answered); further AssignBatch calls fail fast with an error
+	// answered) at the edge; further requests fail fast with an error
 	// wrapping ErrOverloaded instead of growing the queue without
 	// bound. 0 means unlimited.
 	ModelQuota int
-	// Tracer samples request traces at this batcher's edge (nil = no
-	// tracing). Ignored when Shard is set: a shard batcher records onto
-	// traces injected by the edge instead of sampling its own.
+	// Tracer samples request traces at the edge (nil = no tracing).
 	Tracer *telemetry.Tracer
-	// Shard marks a batcher that answers one shard group behind a
-	// fan-out edge. It reports raw squared distances from the GEMM
-	// identity, without clamping small negative cancellation noise to
-	// zero, so the cross-shard min and its tie-break match the
-	// single-node scan exactly (the combiner clamps once, after the
-	// global min). It reports the flush/GEMM/queue telemetry (its
-	// flushes are real GEMMs) but leaves the edge instruments (requests,
-	// rows, rejections, request latency, in-flight), the quota and
-	// trace sampling to the edge, so a fanned-out request is never
-	// double-counted on /metrics. Build it without a ModelQuota.
-	Shard bool
 }
 
 func (o BatcherOptions) withDefaults() BatcherOptions {
@@ -65,7 +52,7 @@ func (o BatcherOptions) withDefaults() BatcherOptions {
 // to the edge's registered histogram instead: knor_serve_request_seconds,
 // or knor_shardserve_request_seconds at a fan-out edge.
 type BatcherStats struct {
-	Requests uint64 // Assign/AssignBatch calls answered
+	Requests uint64 // requests answered
 	Rows     uint64 // query rows answered
 	Flushes  uint64 // blocked distance computations performed
 	Rejected uint64 // requests refused by the per-model quota
@@ -85,7 +72,7 @@ type pendingReq[T blas.Float] struct {
 type batchAnswer struct {
 	assigns []Assignment
 	err     error
-	done    time.Time // when the answer was posted (traced requests only)
+	done    time.Time // when the answer was posted
 }
 
 // BatcherOf coalesces concurrent assignment requests into one
@@ -95,7 +82,8 @@ type batchAnswer struct {
 // flush together, so batches grow with offered load without a timer
 // on the idle path. All rows of a flush that target the same model are
 // answered by a single model snapshot, so a concurrent Publish never
-// splits one batch across versions.
+// splits one batch across versions. AssignBatch enters through the
+// batcher's Edge; a fan-out's shard batchers answer through AssignRaw.
 //
 // The element type selects the assign hot path's precision: float64
 // reproduces the pre-generic Batcher exactly, one pair of query rows at
@@ -106,21 +94,18 @@ type batchAnswer struct {
 type BatcherOf[T blas.Float] struct {
 	reg  *Registry
 	opts BatcherOptions
+	edge *Edge
 
-	mu       sync.Mutex
-	queue    []pendingReq[T]
-	queued   int // rows currently queued
-	inflight map[string]int
-	stopped  bool
+	mu      sync.Mutex
+	queue   []pendingReq[T]
+	queued  int // rows currently queued
+	stopped bool
 
 	work chan struct{} // queue went empty -> non-empty
 	stop chan struct{}
 	done chan struct{}
 
-	requests telemetry.Counter
-	rows     telemetry.Counter
-	flushes  telemetry.Counter
-	rejected telemetry.Counter
+	flushes telemetry.Counter
 
 	// blocks recycles the float32 path's m×k distance block (a *[]T)
 	// between flushes.
@@ -146,12 +131,12 @@ func NewBatcher(reg *Registry, opts BatcherOptions) *Batcher {
 // registry. Close it to stop the background flusher.
 func NewBatcherOf[T blas.Float](reg *Registry, opts BatcherOptions) *BatcherOf[T] {
 	b := &BatcherOf[T]{
-		reg:      reg,
-		opts:     opts.withDefaults(),
-		inflight: map[string]int{},
-		work:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		reg:  reg,
+		opts: opts.withDefaults(),
+		edge: NewEdge(opts, telEdge),
+		work: make(chan struct{}, 1),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	go b.flusher()
 	return b
@@ -174,76 +159,36 @@ func (b *BatcherOf[T]) Assign(model string, row []T) (Assignment, error) {
 // with an error wrapping ErrOverloaded — backpressure instead of an
 // unbounded queue.
 func (b *BatcherOf[T]) AssignBatch(model string, rows *matrix.Mat[T]) ([]Assignment, error) {
-	return b.AssignBatchTraced(model, rows, nil)
+	return b.edge.Assign(model, rows.Rows(), func(tr *telemetry.Trace) ([]Assignment, time.Time, error) {
+		return b.AssignRaw(model, rows, tr)
+	})
 }
 
-// AssignBatchTraced is AssignBatch with an injected trace: the fan-out
-// edge passes the sampled request's trace into one shard batcher so the
-// dump shows the enqueue/coalesce/GEMM stages inside the shard. With a
-// nil trace the batcher samples its own tracer (edge batchers only).
-func (b *BatcherOf[T]) AssignBatchTraced(model string, rows *matrix.Mat[T], tr *telemetry.Trace) ([]Assignment, error) {
+// AssignRaw answers rows below the edge: no quota, counters, trace
+// sampling or clamp, so a shard's raw squared distances reach the
+// cross-shard min untouched. A non-nil tr gets the enqueue, coalesce
+// and gemm spans; ready is when the answer was posted.
+func (b *BatcherOf[T]) AssignRaw(model string, rows *matrix.Mat[T], tr *telemetry.Trace) (as []Assignment, ready time.Time, err error) {
 	if rows.Rows() == 0 {
-		return nil, nil
-	}
-	owned := false
-	if tr == nil && !b.opts.Shard {
-		if tr = b.opts.Tracer.Sample(); tr != nil {
-			owned = true
-		}
+		return nil, time.Time{}, nil
 	}
 	req := pendingReq[T]{model: model, rows: rows, out: make(chan batchAnswer, 1),
 		start: time.Now(), trace: tr}
 	b.mu.Lock()
 	if b.stopped {
 		b.mu.Unlock()
-		return nil, fmt.Errorf("serve: batcher closed")
+		return nil, time.Time{}, fmt.Errorf("serve: batcher closed")
 	}
-	if q := b.opts.ModelQuota; q > 0 && b.inflight[model] >= q {
-		b.mu.Unlock()
-		b.rejected.Inc()
-		if !b.opts.Shard {
-			telRejected.Inc()
-		}
-		return nil, fmt.Errorf("%w: model %q has %d requests in flight", ErrOverloaded, model, q)
-	}
-	b.inflight[model]++
 	wasEmpty := len(b.queue) == 0
 	b.queue = append(b.queue, req)
 	b.queued += rows.Rows()
 	b.mu.Unlock()
 	telQueueDepth.Add(float64(rows.Rows()))
-	if !b.opts.Shard {
-		telInflight.With(model).Inc()
-	}
 	if wasEmpty {
 		signal(b.work)
 	}
 	ans := <-req.out
-	b.mu.Lock()
-	if b.inflight[model]--; b.inflight[model] == 0 {
-		delete(b.inflight, model)
-	}
-	b.mu.Unlock()
-	if !b.opts.Shard {
-		telInflight.With(model).Dec()
-	}
-	if ans.err != nil {
-		return nil, ans.err
-	}
-	if owned {
-		// Injected traces (sharded fan-out) get their reply span at the
-		// fan-out edge, after the cross-shard min — not per shard.
-		tr.Span("reply", ans.done, time.Now())
-		b.opts.Tracer.Done(tr)
-	}
-	b.requests.Inc()
-	b.rows.Add(uint64(rows.Rows()))
-	if !b.opts.Shard {
-		telRequestSeconds.Observe(time.Since(req.start).Seconds())
-		telRequests.Inc()
-		telRows.Add(uint64(rows.Rows()))
-	}
-	return ans.assigns, nil
+	return ans.assigns, ans.done, ans.err
 }
 
 // AssignRows answers float64 query rows regardless of the batcher's
@@ -267,10 +212,8 @@ func signal(c chan struct{}) {
 
 // Stats reports the batcher's counters and current queue depth.
 func (b *BatcherOf[T]) Stats() BatcherStats {
-	st := BatcherStats{
-		Requests: b.requests.Load(), Rows: b.rows.Load(),
-		Flushes: b.flushes.Load(), Rejected: b.rejected.Load(),
-	}
+	st := b.edge.Stats()
+	st.Flushes = b.flushes.Load()
 	b.mu.Lock()
 	st.Queued = b.queued
 	b.mu.Unlock()
@@ -279,15 +222,7 @@ func (b *BatcherOf[T]) Stats() BatcherStats {
 
 // InFlight snapshots the per-model in-flight request counts (queued or
 // being answered right now).
-func (b *BatcherOf[T]) InFlight() map[string]int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[string]int, len(b.inflight))
-	for m, n := range b.inflight {
-		out[m] = n
-	}
-	return out
-}
+func (b *BatcherOf[T]) InFlight() map[string]int { return b.edge.InFlight() }
 
 // Close rejects new requests, answers everything queued, and stops the
 // flusher.
@@ -408,8 +343,8 @@ func (b *BatcherOf[T]) flush(batch []pendingReq[T]) {
 // ‖v‖² + ‖c‖² − 2·V·Cᵀ identity, reusing the snapshot's cached ‖c‖² at
 // the block's element type: float64 blocks take the block-free path,
 // whose answers are bit for bit assignGemm's, and float32 blocks
-// assignGemm itself. A Shard batcher skips the cancellation clamp (the
-// sharded combiner clamps once, after the cross-shard min).
+// assignGemm itself. Distances are raw: cancellation can leave them
+// slightly negative, and the edge clamps them once.
 func (b *BatcherOf[T]) assignBlock(a []T, m int, snap *Model) []Assignment {
 	if a64, ok := any(a).([]float64); ok {
 		return b.assignPanel(a64, m, snap)
@@ -431,9 +366,6 @@ func (b *BatcherOf[T]) assignPanel(a []float64, m int, snap *Model) []Assignment
 	blas.NearestRows(a, m, &b.panel, normsSq, best, idx, b.opts.Threads)
 	out := make([]Assignment, m)
 	for i, v := range best {
-		if v < 0 && !b.opts.Shard { // numerical cancellation
-			v = 0
-		}
 		out[i] = Assignment{Cluster: idx[i], SqDist: v, Version: snap.Version}
 	}
 	return out
@@ -466,9 +398,6 @@ func (b *BatcherOf[T]) assignGemm(a []T, m int, snap *Model) []Assignment {
 			if v := row[j] + an[i] + normsSq[j]; v < best {
 				best, bi = v, j
 			}
-		}
-		if best < 0 && !b.opts.Shard { // numerical cancellation
-			best = 0
 		}
 		out[i] = Assignment{Cluster: int32(bi), SqDist: float64(best), Version: snap.Version}
 	}

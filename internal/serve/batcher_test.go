@@ -194,7 +194,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // parkFirstFlush takes reg's write lock and sends one request,
 // returning once a flush has taken it off the queue and parked in
 // reg.Get: the request stays in flight until answered, which the held
-// lock prevents. The returned function releases the lock; so does
+// lock prevents. The edge admits a request before the batcher queues
+// it, so one in flight with nothing queued does not yet prove a flush
+// took it; the knor_serve_batch_rows count, observed as a flush takes
+// its batch, does. The returned function releases the lock; so does
 // cleanup if the test ends first. Cleanups run last in, first out, so
 // register the batcher's Close with t.Cleanup before parking: the
 // parked flush, and with it Close, can then finish.
@@ -203,9 +206,10 @@ func parkFirstFlush(t *testing.T, b *Batcher, reg *Registry, send func()) (relea
 	reg.mu.Lock()
 	release = sync.OnceFunc(reg.mu.Unlock)
 	t.Cleanup(release)
+	taken := telBatchRows.Count()
 	send()
 	waitFor(t, "the first flush to park", func() bool {
-		return b.InFlight()["m"] == 1 && b.Stats().Queued == 0
+		return b.InFlight()["m"] == 1 && b.Stats().Queued == 0 && telBatchRows.Count() > taken
 	})
 	return release
 }

@@ -7,30 +7,34 @@ import "knor/internal/telemetry"
 // them on GET /metrics. Per-batcher counters (BatcherStats) stay
 // instance-local; these aggregate across every batcher in the process.
 //
-// In sharded deployments the per-shard batchers run with
-// BatcherOptions.Shard set: they contribute to the flush/GEMM/queue
-// instruments (their flushes are real GEMMs) but not to the edge
-// instruments (requests, rows, rejections, request latency, in-flight),
-// which the fan-out edge owns — so a request is never double-counted.
+// telEdge is the single-node edge's family (requests, rows,
+// rejections, request latency, in-flight). A sharded deployment's edge
+// records on shardserve's knor_shardserve_… family instead, and its
+// shard batchers answer below any edge, so a request is never
+// double-counted; every flush, sharded or not, feeds the
+// flush/GEMM/queue instruments.
 var (
-	telRequests = telemetry.Default.Counter("knor_serve_requests_total",
-		"Assign/AssignBatch calls answered by the single-node edge.")
-	telRows = telemetry.Default.Counter("knor_serve_rows_total",
-		"Query rows answered by the single-node edge.")
+	telRequestSeconds = telemetry.Default.Histogram("knor_serve_request_seconds",
+		"End-to-end /assign latency at the single-node edge.", telemetry.DefLatencyBuckets())
+	telEdge = EdgeTelemetry{
+		Requests: telemetry.Default.Counter("knor_serve_requests_total",
+			"Assign requests answered by the single-node edge."),
+		Rows: telemetry.Default.Counter("knor_serve_rows_total",
+			"Query rows answered by the single-node edge."),
+		Rejected: telemetry.Default.Counter("knor_serve_rejected_total",
+			"Requests refused by the per-model in-flight quota (HTTP 429)."),
+		Seconds: telRequestSeconds,
+		Inflight: telemetry.Default.GaugeVec("knor_serve_inflight_requests",
+			"In-flight assignment requests per model at the single-node edge.", "model"),
+	}
 	telFlushes = telemetry.Default.Counter("knor_serve_flushes_total",
 		"Blocked GEMM distance computations performed (per shard in sharded mode).")
-	telRejected = telemetry.Default.Counter("knor_serve_rejected_total",
-		"Requests refused by the per-model in-flight quota (HTTP 429).")
 	telQueueDepth = telemetry.Default.Gauge("knor_serve_queue_depth_rows",
 		"Query rows waiting for the next batch flush right now.")
 	telBatchRows = telemetry.Default.Histogram("knor_serve_batch_rows",
 		"Rows coalesced per GEMM flush.", telemetry.DefSizeBuckets())
 	telGemmSeconds = telemetry.Default.Histogram("knor_serve_gemm_seconds",
 		"Wall time of one blocked GEMM distance computation.", telemetry.DefLatencyBuckets())
-	telRequestSeconds = telemetry.Default.Histogram("knor_serve_request_seconds",
-		"End-to-end /assign latency at the single-node edge.", telemetry.DefLatencyBuckets())
-	telInflight = telemetry.Default.GaugeVec("knor_serve_inflight_requests",
-		"In-flight assignment requests per model at the single-node edge.", "model")
 
 	telPublishes = telemetry.Default.Counter("knor_registry_publishes_total",
 		"Model versions published or restored into a registry.")

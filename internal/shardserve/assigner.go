@@ -11,6 +11,7 @@ import (
 	"knor/internal/cluster"
 	"knor/internal/kmeans"
 	"knor/internal/matrix"
+	"knor/internal/netcluster"
 	"knor/internal/serve"
 	"knor/internal/telemetry"
 )
@@ -36,16 +37,15 @@ const (
 	skewBackoff = 100 * time.Microsecond
 )
 
-// AssignerOf is the fan-out assignment router: one serve.BatcherOf per
-// machine over that machine's local registry, queries fanned out to
-// every shard group holding the model and folded into the global
-// argmin as the groups answer (cluster.CombineMin — associative and
-// commutative, so arrival order never changes the result).
-// Bit-identical to the single-node serve.BatcherOf for any machine
-// count: shards report raw distances, the cancellation clamp is
-// applied once after the global min, and ties break on the lowest
-// global centroid index exactly as the single-node ascending scan
-// does.
+// AssignerOf is the fan-out assignment router: requests pass the same
+// serve.Edge as the single-node batcher, then fan out to every shard
+// group holding the model (a serve.BatcherOf per machine this process
+// serves) and fold into the global argmin as the groups answer
+// (cluster.CombineMin — associative and commutative, so arrival order
+// never changes the result). Bit-identical to the single-node
+// serve.BatcherOf for any machine count: shards report raw distances,
+// the edge clamps once after the global min, and ties break on the
+// lowest global centroid index exactly as the single-node scan does.
 //
 // Failover: every replica of a shard holds the same centroid rows at
 // the same version, so a shard group's answer is replica-independent —
@@ -55,43 +55,31 @@ const (
 // (ErrShardUnavailable).
 type AssignerOf[T blas.Float] struct {
 	sr   *ShardRegistry
-	bats []*serve.BatcherOf[T]
-	opts serve.BatcherOptions
+	edge *serve.Edge
+	// local[m] answers machine m's shard groups in this process; a
+	// machine served by a peer process (cluster mode) has none.
+	local map[int]*serve.BatcherOf[T]
 
-	mu       sync.Mutex
-	inflight map[string]int
-
-	requests  telemetry.Counter
-	rows      telemetry.Counter
-	rejected  telemetry.Counter
 	failovers telemetry.Counter
 }
 
 // NewAssignerOf starts the sharded assignment path at element type T.
-// Threads applies per shard batcher (see shardOptions).
-// ModelQuota is enforced here at the fan-out edge — a rejected request
-// must burn zero GEMM time on ANY shard — and the edge instruments
-// (request counts, latency, in-flight) are reported here, once per
-// request, never per shard. Close stops every shard batcher.
+// ModelQuota and Tracer apply at the fan-out edge, so a rejected
+// request burns no GEMM time on any shard; Threads applies per shard
+// batcher, local or remote (ServePeer). Close stops every shard
+// batcher.
 func NewAssignerOf[T blas.Float](sr *ShardRegistry, opts serve.BatcherOptions) *AssignerOf[T] {
 	a := &AssignerOf[T]{
-		sr:       sr,
-		opts:     opts,
-		inflight: map[string]int{},
+		sr:    sr,
+		edge:  serve.NewEdge(opts, telEdge),
+		local: map[int]*serve.BatcherOf[T]{},
 	}
-	a.bats = make([]*serve.BatcherOf[T], sr.Machines())
-	for i := range a.bats {
-		a.bats[i] = serve.NewBatcherOf[T](sr.Registry(i), shardOptions(opts))
+	for m := 0; m < sr.Machines(); m++ {
+		if sr.remote == nil || sr.remote.LocalMachine(m) {
+			a.local[m] = serve.NewBatcherOf[T](sr.Registry(m), serve.BatcherOptions{Threads: opts.Threads})
+		}
 	}
 	return a
-}
-
-// shardOptions derives a shard batcher's options from the edge's: the
-// same GEMM threads, marked Shard, with no quota or tracer
-// (the edge owns both). In-process and remote replicas build their
-// batchers from it, so each computes exactly what the other would.
-func shardOptions(edge serve.BatcherOptions) serve.BatcherOptions {
-	return serve.BatcherOptions{Threads: edge.Threads, Shard: true}
 }
 
 // NewAssigner builds the sharded assignment path at the requested
@@ -111,68 +99,23 @@ type shardAnswer struct {
 	err     error
 }
 
-// Assign answers one query row (blocking until its fan-out completes).
-func (a *AssignerOf[T]) Assign(model string, row []T) (serve.Assignment, error) {
-	m := matrix.New[T](1, len(row))
-	copy(m.Data, row)
-	as, err := a.AssignBatch(model, m)
-	if err != nil {
-		return serve.Assignment{}, err
-	}
-	return as[0], nil
-}
-
 // AssignBatch answers every row of rows against the named model by
 // fanning the batch out to the model's shards. The rows matrix must
 // not be mutated until the call returns.
 func (a *AssignerOf[T]) AssignBatch(model string, rows *matrix.Mat[T]) ([]serve.Assignment, error) {
-	if rows.Rows() == 0 {
-		return nil, nil
-	}
-	a.mu.Lock()
-	if q := a.opts.ModelQuota; q > 0 && a.inflight[model] >= q {
-		a.mu.Unlock()
-		a.rejected.Inc()
-		telRejected.Inc()
-		return nil, fmt.Errorf("%w: model %q has %d requests in flight", serve.ErrOverloaded, model, q)
-	}
-	a.inflight[model]++
-	a.mu.Unlock()
-	telInflight.With(model).Inc()
-	defer func() {
-		telInflight.With(model).Dec()
-		a.mu.Lock()
-		if a.inflight[model]--; a.inflight[model] == 0 {
-			delete(a.inflight, model)
+	return a.edge.Assign(model, rows.Rows(), func(tr *telemetry.Trace) ([]serve.Assignment, time.Time, error) {
+		for try := 0; try < skewRetries; try++ {
+			if try > 0 {
+				telSkewRetries.Inc()
+				time.Sleep(time.Duration(try) * skewBackoff)
+			}
+			out, retry, err := a.fanout(model, rows, tr)
+			if err != nil || !retry {
+				return out, time.Now(), err
+			}
 		}
-		a.mu.Unlock()
-	}()
-	tr := a.opts.Tracer.Sample()
-	start := time.Now()
-	var lastErr error
-	for try := 0; try < skewRetries; try++ {
-		if try > 0 {
-			telSkewRetries.Inc()
-			time.Sleep(time.Duration(try) * skewBackoff)
-		}
-		out, retry, err := a.fanout(model, rows, tr)
-		if err != nil {
-			return nil, err
-		}
-		if !retry {
-			done := time.Now()
-			tr.Span("reply", done, done)
-			a.opts.Tracer.Done(tr)
-			telRequestSeconds.Observe(done.Sub(start).Seconds())
-			a.requests.Inc()
-			a.rows.Add(uint64(rows.Rows()))
-			telRequests.Inc()
-			telRows.Add(uint64(rows.Rows()))
-			return out, nil
-		}
-		lastErr = fmt.Errorf("shardserve: model %q: shard versions skewed by concurrent publish", model)
-	}
-	return nil, lastErr
+		return nil, time.Time{}, fmt.Errorf("shardserve: model %q: shard versions skewed by concurrent publish", model)
+	})
 }
 
 // fanout runs one fan-out attempt: every shard group answers against
@@ -258,11 +201,7 @@ func (a *AssignerOf[T]) fanout(model string, rows *matrix.Mat[T], tr *telemetry.
 	}
 	out = make([]serve.Assignment, n)
 	for i, p := range pairs {
-		d := p.Dist
-		if d < 0 { // numerical cancellation, clamped once globally
-			d = 0
-		}
-		out[i] = serve.Assignment{Cluster: p.Index, SqDist: d, Version: plan.Version}
+		out[i] = serve.Assignment{Cluster: p.Index, SqDist: p.Dist, Version: plan.Version}
 	}
 	return out, false, nil
 }
@@ -321,24 +260,23 @@ func (a *AssignerOf[T]) answerShard(model string, s int, plan Plan, rows *matrix
 		ErrShardUnavailable, model, s, plan.Offsets[s], plan.Offsets[s+1], lastErr)
 }
 
-// askReplica answers shard group s's rows on machine m.
+// askReplica answers shard group s's rows on machine m: by the raw
+// entry of m's batcher when this process serves m, else by RPC to m's
+// peer process with the rows' exact bits; an RPC error (dead peer,
+// timeout) fails over like any replica error. A sampled trace rides to
+// every remote group, which stitches its worker spans back in; locally
+// only group 0 records it, so a dump shows one enqueue/coalesce/gemm
+// set, inside shard_0.
 func (a *AssignerOf[T]) askReplica(m, s int, key string, rows *matrix.Mat[T], tr *telemetry.Trace) ([]serve.Assignment, error) {
-	switch {
-	case a.sr.remote != nil && !a.sr.remote.LocalMachine(m):
-		// Cluster mode: machine m is a peer process — the query rows'
-		// exact bits ride over the transport and the peer's batcher
-		// answers from its pushed shard snapshot. An RPC error (dead
-		// peer, timeout) fails over like any replica error. A sampled
-		// trace rides along and comes back with the worker's
-		// decode/GEMM/encode spans stitched in.
-		return remoteAssignBatch(a.sr.remote, m, key, rows, tr)
-	case s == 0:
-		// A sampled trace rides through group 0's batcher so the dump
-		// shows the enqueue/coalesce/GEMM stages in-shard.
-		return a.bats[m].AssignBatchTraced(key, rows, tr)
-	default:
-		return a.bats[m].AssignBatch(key, rows)
+	if b, ok := a.local[m]; ok {
+		if s > 0 {
+			tr = nil
+		}
+		as, _, err := b.AssignRaw(key, rows, tr)
+		return as, err
 	}
+	return a.sr.remote.AssignRemote(m, key, byte(blas.ElemBytes[T]()), rows.Rows(), rows.Cols(),
+		netcluster.AppendFloats(nil, rows.Data), tr)
 }
 
 // Failovers reports how many times a fan-out passed over a shard
@@ -357,48 +295,32 @@ func (a *AssignerOf[T]) AssignRows(model string, rows *matrix.Dense) ([]serve.As
 
 // Stats aggregates the fan-out edge's counters with the shard
 // batchers' flush counts. Every request is replicated to all shards,
-// so Flushes and Queued report the busiest shard (the logical
-// flush/queue count), not the M-inflated sum — avg_batch and
+// so Flushes and Queued report the busiest local shard batcher (the
+// logical flush/queue count), not the M-inflated sum — avg_batch and
 // queue-depth readings stay comparable with the single-node batcher.
 func (a *AssignerOf[T]) Stats() serve.BatcherStats {
-	st := serve.BatcherStats{
-		Requests: a.requests.Load(),
-		Rows:     a.rows.Load(),
-		Rejected: a.rejected.Load(),
-	}
-	for _, b := range a.bats {
+	st := a.edge.Stats()
+	for _, b := range a.local {
 		bst := b.Stats()
-		if bst.Flushes > st.Flushes {
-			st.Flushes = bst.Flushes
-		}
-		if bst.Queued > st.Queued {
-			st.Queued = bst.Queued
-		}
+		st.Flushes = max(st.Flushes, bst.Flushes)
+		st.Queued = max(st.Queued, bst.Queued)
 	}
 	return st
 }
 
 // InFlight snapshots the per-model in-flight request counts at the
 // fan-out edge (each distributed request counted once, not per shard).
-func (a *AssignerOf[T]) InFlight() map[string]int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]int, len(a.inflight))
-	for m, n := range a.inflight {
-		out[m] = n
-	}
-	return out
-}
+func (a *AssignerOf[T]) InFlight() map[string]int { return a.edge.InFlight() }
 
 // Close rejects new requests and stops every shard batcher.
 func (a *AssignerOf[T]) Close() {
 	var wg sync.WaitGroup
-	for _, b := range a.bats {
+	for _, b := range a.local {
 		wg.Add(1)
-		go func(b *serve.BatcherOf[T]) {
+		go func() {
 			defer wg.Done()
 			b.Close()
-		}(b)
+		}()
 	}
 	wg.Wait()
 }

@@ -1,6 +1,7 @@
 package shardserve
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -227,6 +228,27 @@ func TestClusterPulseLiveness(t *testing.T) {
 			t.Fatal("revived machine never recovered")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestHubPulsesGatedByKillSwitch: pulses keep both machines live past
+// the pulse timeout (machine 0's from the hub's clock, the worker's over
+// the wire), and each machine's kill switch alone gates them: with the
+// switch down, and no MarkDead, the sweep retires the machine, which
+// pulses back to life once the switch is up.
+func TestHubPulsesGatedByKillSwitch(t *testing.T) {
+	c := startServeCluster(t, 2, 1)
+	time.Sleep(1500 * time.Millisecond) // longer than the 1 s pulse timeout
+	for m := 0; m < 2; m++ {
+		if !c.topo.IsLive(m) {
+			t.Fatalf("machine %d swept dead while it pulsed", m)
+		}
+	}
+	for m := 0; m < 2; m++ {
+		c.sr.down[m].Store(true)
+		waitFor(t, fmt.Sprintf("machine %d to be swept dead", m), func() bool { return !c.topo.IsLive(m) })
+		c.sr.down[m].Store(false)
+		waitFor(t, fmt.Sprintf("machine %d to pulse back to life", m), func() bool { return c.topo.IsLive(m) })
 	}
 }
 

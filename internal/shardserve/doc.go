@@ -14,20 +14,20 @@
 //     contiguous shards (dist.Partition, the same row-sharding knord
 //     uses) and restores shard i into machine i's registry at the
 //     SAME version number, copy-on-write like the single-node
-//     registry. Attach mirrors an existing registry, so a knorserve
-//     with -machines M shards every publish automatically; a publish
-//     with a different k rebalances the split.
-//   - AssignerOf — the fan-out router. Every machine runs a plain
-//     serve.BatcherOf over its shard registry; a query batch goes to
-//     all shards concurrently, each answers local (argmin, dist)
-//     pairs against only its centroid rows, and answers are folded
-//     into the global result as they arrive (cluster.CombineMin), so
-//     reduction overlaps the slower shards' GEMMs. The result is
-//     bit-identical to the single-node serve.Assigner for any machine
-//     count and either precision: shards return raw distances (the
-//     cancellation clamp is applied once, after the global min), ties
-//     break on the lowest global centroid index exactly as the
-//     single-node ascending argmin scan does, and the blas kernels
-//     guarantee a centroid block sliced out of a larger matrix
-//     produces bit-identical distances at both widths.
+//     registry, keeping only each shard's latest version. Attach
+//     mirrors an existing registry, so a knorserve with -machines M
+//     shards every publish; a publish with a different k rebalances.
+//   - AssignerOf — the fan-out router. A request passes the same
+//     serve.Edge as on one node (quota, in-flight, trace, counters,
+//     clamp); below it the batch goes to all shards concurrently, each
+//     machine's shard batcher (or, in cluster mode, a ServePeer
+//     process) answers raw local (argmin, dist) pairs against only its
+//     centroid rows, and answers are folded into the global result as
+//     they arrive (cluster.CombineMin). The result is bit-identical to
+//     the single-node serve.Assigner for any machine count and either
+//     precision: the edge clamps cancellation noise once, after the
+//     global min, ties break on the lowest global centroid index as
+//     the single-node ascending scan does, and the blas kernels give a
+//     centroid block sliced out of a larger matrix bit-identical
+//     distances at both widths.
 package shardserve

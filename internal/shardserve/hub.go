@@ -18,9 +18,9 @@ import (
 // ShardRegistry drives), answers fan-out RPCs by matching
 // FrameAssignResp sequence numbers to in-flight FrameAssignReq calls,
 // and feeds the membership layer — worker FramePulse heartbeats route
-// into topology.Pulse, a local ticker self-pulses machine 0 and sweeps,
-// and a peer whose connection drops is marked dead immediately (the
-// fast path; the pulse timeout covers hangs that keep the socket open).
+// into topology.Pulse, topology.StartClock self-pulses machine 0 and
+// sweeps, and a peer whose connection drops is marked dead immediately
+// (the fast path; the pulse timeout covers hangs that keep it open).
 //
 // Machine index m is transport rank m: machine 0 is the coordinator
 // itself (served in-process), machines 1..M-1 are worker processes
@@ -40,9 +40,10 @@ type Hub struct {
 	mu      sync.Mutex
 	pending map[uint64]chan *netcluster.Frame
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	stopClock func()
+	stop      chan struct{}
+	stopOnce  sync.Once
+	wg        sync.WaitGroup
 }
 
 // NewHub wraps the coordinator rank of a bootstrapped transport.
@@ -59,14 +60,16 @@ func NewHub(tr netcluster.Transport, rpcTimeout time.Duration) *Hub {
 		tr:         tr,
 		rpcTimeout: rpcTimeout,
 		pending:    map[uint64]chan *netcluster.Frame{},
+		stopClock:  func() {},
 		stop:       make(chan struct{}),
 	}
 }
 
 // Start attaches the membership layer and begins serving: one demux
 // goroutine per worker peer (routing pulses and RPC responses) and the
-// coordinator's own pulse/sweep clock. sr's kill switch gates pulses,
-// so an API "kill" silences a machine exactly like a dead process.
+// topology's pulse/sweep clock, in which only machine 0, this process,
+// pulses itself. sr's kill switch gates pulses, so an API "kill"
+// silences a machine exactly like a dead process.
 func (h *Hub) Start(topo *topology.Topology, sr *ShardRegistry) {
 	h.topo = topo
 	h.sr = sr
@@ -74,28 +77,7 @@ func (h *Hub) Start(topo *topology.Topology, sr *ShardRegistry) {
 		h.wg.Add(1)
 		go h.demux(r)
 	}
-	h.wg.Add(1)
-	go h.clock()
-}
-
-// clock self-pulses the coordinator machine and sweeps silent machines
-// dead, at a quarter of the pulse timeout (the same cadence
-// topology.StartClock uses).
-func (h *Hub) clock() {
-	defer h.wg.Done()
-	tick := time.NewTicker(topology.DefaultPulseTimeout / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case now := <-tick.C:
-			if !h.sr.MachineDown(0) {
-				h.topo.Pulse(0, now)
-			}
-			h.topo.Sweep(now)
-		case <-h.stop:
-			return
-		}
-	}
+	h.stopClock = topo.StartClock(0, func(m int) bool { return m == 0 && !sr.MachineDown(0) })
 }
 
 // demux drains peer r's frames: pulses feed the topology (unless the
@@ -265,7 +247,10 @@ func (h *Hub) DropRemote(m int, key string) error {
 // Close stops the clock, aborts in-flight RPCs, and closes the
 // transport (which unblocks the demux goroutines' Recv calls).
 func (h *Hub) Close() {
-	h.stopOnce.Do(func() { close(h.stop) })
+	h.stopOnce.Do(func() {
+		h.stopClock()
+		close(h.stop)
+	})
 	h.tr.Close()
 	h.wg.Wait()
 }

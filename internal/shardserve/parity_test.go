@@ -215,3 +215,89 @@ func TestShardParityAcrossRepublish(t *testing.T) {
 		t.Fatalf("expected version 2 answers, got %d", want[0].Version)
 	}
 }
+
+// clampCase builds one 16-d query with coordinates up to 5e3 and 8
+// centroids, each a copy of it or a copy with every coordinate moved by
+// about 1e-9. Every raw squared distance ‖v‖²+‖c‖²−2·v·c is then
+// cancellation noise around 0, often negative.
+func clampCase(seed int64) (cents, query *matrix.Dense) {
+	rng := rand.New(rand.NewSource(seed))
+	const k, d = 8, 16
+	query = matrix.NewDense(1, d)
+	for j := range query.Data {
+		query.Data[j] = (2*rng.Float64() - 1) * 5e3
+	}
+	cents = matrix.NewDense(k, d)
+	for i := 0; i < k; i++ {
+		row := cents.Row(i)
+		copy(row, query.Data)
+		if rng.Intn(2) == 1 {
+			for j := range row {
+				row[j] += rng.NormFloat64() * 1e-9
+			}
+		}
+	}
+	return cents, query
+}
+
+// TestClampAfterGlobalMin checks that the cancellation clamp runs once,
+// on the final answer. In the fixture (seed 10, the first of a seed
+// search, with the assembly kernels on and off) both shards of a
+// 2-machine split have a negative raw minimum and shard 1's is lower,
+// so the single node answers shard 1's centroid at distance 0, and so
+// must the sharded deployments: in-process and a real 2-process
+// cluster. Clamping inside each shard would tie both shards at 0 and
+// answer shard 0's centroid. float32 is not covered: its centroid
+// mirror rounds the 1e-9 offsets away, every distance ties, and the
+// same search found no separating seed among 2000.
+func TestClampAfterGlobalMin(t *testing.T) {
+	cents, query := clampCase(10)
+	reg := serve.NewRegistry(1)
+	if _, err := reg.Publish("m", cents); err != nil {
+		t.Fatal(err)
+	}
+	single := serve.NewBatcher(reg, serve.BatcherOptions{})
+	defer single.Close()
+	want, err := single.AssignBatch("m", query)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	local := NewShardRegistry(2)
+	if _, err := local.Publish("m", cents); err != nil {
+		t.Fatal(err)
+	}
+	// The fixture must still separate the two clamp orders.
+	var raw [2]serve.Assignment
+	for s := range raw {
+		b := serve.NewBatcher(local.Registry(s), serve.BatcherOptions{})
+		as, _, err := b.AssignRaw(ShardKey("m", s), query, nil)
+		b.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[s] = as[0]
+	}
+	if !(raw[0].SqDist < 0 && raw[1].SqDist < raw[0].SqDist) {
+		t.Fatalf("fixture no longer separates the clamp orders: raw shard minima %+v, %+v", raw[0], raw[1])
+	}
+	if w := (serve.Assignment{Cluster: 4 + raw[1].Cluster, Version: 1}); want[0] != w {
+		t.Fatalf("single node answered %+v, want %+v (shard 1's raw minimum, clamped)", want[0], w)
+	}
+
+	c := startServeCluster(t, 2, 1)
+	if _, err := c.reg.Publish("m", cents); err != nil {
+		t.Fatal(err)
+	}
+	for _, sr := range []*ShardRegistry{local, c.sr} {
+		a := NewAssignerOf[float64](sr, serve.BatcherOptions{})
+		got, err := a.AssignBatch("m", query)
+		a.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != want[0] {
+			t.Fatalf("remote=%v: sharded answer %+v, single node %+v", sr.remote != nil, got[0], want[0])
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"knor/internal/blas"
 	"knor/internal/matrix"
 	"knor/internal/netcluster"
 	"knor/internal/serve"
@@ -13,10 +14,10 @@ import (
 
 // PeerOptions configure a worker peer's serve loop.
 type PeerOptions struct {
-	// Batcher configures the peer's shard batchers. The peer builds
-	// them exactly as the in-process assigner builds its own
-	// (shardOptions: Threads, marked Shard), so a remote replica
-	// computes exactly what a local one would.
+	// Batcher configures the peer's shard batchers. They answer
+	// through AssignRaw, below any edge, as the in-process assigner's
+	// do, so only Threads applies and a remote replica computes
+	// exactly what a local one would.
 	Batcher serve.BatcherOptions
 	// PulseEvery is the heartbeat cadence (default: a quarter of the
 	// topology's pulse timeout, matching the in-process clock).
@@ -40,10 +41,9 @@ func ServePeer(tr netcluster.Transport, opts PeerOptions) error {
 	if tr.Rank() == 0 {
 		return fmt.Errorf("shardserve: rank 0 is the coordinator, not a peer")
 	}
-	bopts := shardOptions(opts.Batcher)
-	reg := serve.NewRegistry(1)
-	bat64 := serve.NewBatcherOf[float64](reg, bopts)
-	bat32 := serve.NewBatcherOf[float32](reg, bopts)
+	reg := newShardCopies()
+	bat64 := serve.NewBatcherOf[float64](reg, opts.Batcher)
+	bat32 := serve.NewBatcherOf[float32](reg, opts.Batcher)
 	defer bat64.Close()
 	defer bat32.Close()
 	// Live-shard count for the federated scrape: the coordinator's
@@ -210,40 +210,36 @@ func peerInstall(reg *serve.Registry, f *netcluster.Frame) error {
 	return err
 }
 
-// peerAnswer runs one assign RPC against the local shard batchers at
+// peerAnswer runs one assign RPC against the local shard batcher of
 // the request's element width, recording decode and GEMM spans on rec
 // when the request is sampled.
 func peerAnswer(bat32 *serve.BatcherOf[float32], bat64 *serve.BatcherOf[float64], f *netcluster.Frame, rec *spanRec) ([]serve.Assignment, error) {
 	decStart := time.Now()
 	key, nrows, d, rows, err := decodeAssignReq(f.Payload)
-	if err != nil {
+	switch {
+	case err != nil:
+		return nil, err
+	case nrows <= 0 || d <= 0:
+		return nil, fmt.Errorf("assign request claims %dx%d rows", nrows, d)
+	case f.Elem == 4:
+		return peerAssign(bat32, key, nrows, d, rows, decStart, rec)
+	case f.Elem == 8:
+		return peerAssign(bat64, key, nrows, d, rows, decStart, rec)
+	}
+	return nil, fmt.Errorf("assign request element width %d", f.Elem)
+}
+
+// peerAssign decodes nrows×d query values at b's element width and
+// answers them through b's raw entry: the coordinator's edge clamps
+// after the cross-shard min.
+func peerAssign[T blas.Float](b *serve.BatcherOf[T], key string, nrows, d int, payload []byte, decStart time.Time, rec *spanRec) ([]serve.Assignment, error) {
+	q := matrix.New[T](nrows, d)
+	if _, err := netcluster.FloatsAt(payload, 0, nrows*d, q.Data); err != nil {
 		return nil, err
 	}
-	if nrows <= 0 || d <= 0 {
-		return nil, fmt.Errorf("assign request claims %dx%d rows", nrows, d)
-	}
-	switch f.Elem {
-	case 4:
-		q := matrix.New[float32](nrows, d)
-		if _, err := netcluster.FloatsAt(rows, 0, nrows*d, q.Data); err != nil {
-			return nil, err
-		}
-		rec.add("decode", decStart)
-		gemmStart := time.Now()
-		as, err := bat32.AssignBatch(key, q)
-		rec.add("shard_gemm", gemmStart)
-		return as, err
-	case 8:
-		q := matrix.New[float64](nrows, d)
-		if _, err := netcluster.FloatsAt(rows, 0, nrows*d, q.Data); err != nil {
-			return nil, err
-		}
-		rec.add("decode", decStart)
-		gemmStart := time.Now()
-		as, err := bat64.AssignBatch(key, q)
-		rec.add("shard_gemm", gemmStart)
-		return as, err
-	default:
-		return nil, fmt.Errorf("assign request element width %d", f.Elem)
-	}
+	rec.add("decode", decStart)
+	gemmStart := time.Now()
+	as, _, err := b.AssignRaw(key, q, nil)
+	rec.add("shard_gemm", gemmStart)
+	return as, err
 }

@@ -176,12 +176,21 @@ func NewShardRegistryWith(opts Options) *ShardRegistry {
 	}
 	sr.regs = make([]*serve.Registry, opts.Machines)
 	for i := range sr.regs {
-		sr.regs[i] = serve.NewRegistry(1)
+		sr.regs[i] = newShardCopies()
 	}
 	if sr.topo != nil {
 		sr.topo.Subscribe(func(topology.Event) { sr.rebalance() })
 	}
 	return sr
+}
+
+// newShardCopies builds one machine's shard-copy registry, keeping only
+// each shard's latest version: nothing reads a shard's history, and a
+// rebalance re-spreads from the canonical copy.
+func newShardCopies() *serve.Registry {
+	reg := serve.NewRegistry(1)
+	reg.SetRetention(serve.Retention{MaxVersions: 1})
+	return reg
 }
 
 // Machines returns the machine count.

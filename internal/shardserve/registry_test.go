@@ -151,6 +151,30 @@ func TestShardRegistryAttach(t *testing.T) {
 	}
 }
 
+// TestShardRegistryRetainsLatestOnly: shard copies keep one version,
+// since nothing reads a shard's history, while the primary registry
+// keeps its own retention (the default 8 versions here).
+func TestShardRegistryRetainsLatestOnly(t *testing.T) {
+	primary := serve.NewRegistry(1)
+	sr := NewShardRegistry(2)
+	if err := sr.Attach(primary); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 3; v++ {
+		if _, err := primary.Publish("m", seqCentroids(4, 3, float64(10*v))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := primary.RetainedVersions("m"); fmt.Sprint(got) != "[1 2 3]" {
+		t.Fatalf("primary retains versions %v, want [1 2 3]", got)
+	}
+	for m := 0; m < 2; m++ {
+		if got := sr.Registry(m).RetainedVersions(ShardKey("m", m)); fmt.Sprint(got) != "[3]" {
+			t.Fatalf("machine %d retains shard versions %v, want [3]", m, got)
+		}
+	}
+}
+
 func TestShardRegistryDrop(t *testing.T) {
 	sr := NewShardRegistry(2)
 	if _, err := sr.Publish("m", seqCentroids(4, 2, 0)); err != nil {

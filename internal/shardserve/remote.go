@@ -3,8 +3,6 @@ package shardserve
 import (
 	"fmt"
 
-	"knor/internal/blas"
-	"knor/internal/matrix"
 	"knor/internal/netcluster"
 	"knor/internal/serve"
 	"knor/internal/telemetry"
@@ -151,14 +149,4 @@ func decodeAssignResp(b []byte) ([]serve.Assignment, error) {
 		out[i] = serve.Assignment{Cluster: int32(cl), Version: int(ver), SqDist: dist[0]}
 	}
 	return out, nil
-}
-
-// remoteAssignBatch answers one shard group on a remote machine: the
-// query rows' exact bits ride to the peer, the peer's batcher computes
-// against its local shard snapshot, and the per-row answers ride back
-// — the same values the in-process batcher call would produce, since
-// every replica holds identical centroid bits at identical versions.
-func remoteAssignBatch[T blas.Float](rm Remote, m int, key string, rows *matrix.Mat[T], tr *telemetry.Trace) ([]serve.Assignment, error) {
-	payload := netcluster.AppendFloats(nil, rows.Data)
-	return rm.AssignRemote(m, key, byte(blas.ElemBytes[T]()), rows.Rows(), rows.Cols(), payload, tr)
 }

@@ -1,31 +1,37 @@
 package shardserve
 
-import "knor/internal/telemetry"
+import (
+	"knor/internal/serve"
+	"knor/internal/telemetry"
+)
 
-// Fan-out-edge instruments, registered at init against
-// telemetry.Default. The per-shard serve.BatcherOf instances run with
-// BatcherOptions.Shard set, so the serve-layer edge instruments stay
-// silent and these count each distributed request exactly once; the
-// shard batchers still feed the process-wide flush/GEMM/queue series.
+// Fan-out instruments, registered at init against telemetry.Default.
+// telEdge is the fan-out edge's family, one count per distributed
+// request; the shard batchers answer below any edge, so they leave the
+// knor_serve_… edge family alone but still feed the process-wide
+// flush/GEMM/queue series.
 var (
-	telRequests = telemetry.Default.Counter("knor_shardserve_requests_total",
-		"Assign/AssignBatch calls answered by the fan-out edge.")
-	telRows = telemetry.Default.Counter("knor_shardserve_rows_total",
-		"Query rows answered by the fan-out edge.")
-	telRejected = telemetry.Default.Counter("knor_shardserve_rejected_total",
-		"Requests refused by the per-model in-flight quota at the fan-out edge.")
-	telSkewRetries = telemetry.Default.Counter("knor_shardserve_skew_retries_total",
-		"Fan-out attempts retried because a concurrent publish skewed shard versions.")
 	telRequestSeconds = telemetry.Default.Histogram("knor_shardserve_request_seconds",
 		"End-to-end /assign latency at the fan-out edge.", telemetry.DefLatencyBuckets())
+	telEdge = serve.EdgeTelemetry{
+		Requests: telemetry.Default.Counter("knor_shardserve_requests_total",
+			"Assign requests answered by the fan-out edge."),
+		Rows: telemetry.Default.Counter("knor_shardserve_rows_total",
+			"Query rows answered by the fan-out edge."),
+		Rejected: telemetry.Default.Counter("knor_shardserve_rejected_total",
+			"Requests refused by the per-model in-flight quota at the fan-out edge."),
+		Seconds: telRequestSeconds,
+		Inflight: telemetry.Default.GaugeVec("knor_shardserve_inflight_requests",
+			"In-flight assignment requests per model at the fan-out edge.", "model"),
+	}
+	telSkewRetries = telemetry.Default.Counter("knor_shardserve_skew_retries_total",
+		"Fan-out attempts retried because a concurrent publish skewed shard versions.")
 	telShardSeconds = telemetry.Default.HistogramVec("knor_shardserve_shard_seconds",
 		"Per-shard fan-out latency: dispatch to that shard's answer.",
 		telemetry.DefLatencyBuckets(), "shard")
 	telMinReduceSeconds = telemetry.Default.Histogram("knor_shardserve_minreduce_seconds",
 		"Time folding shard answers into the global argmin (first to last combine).",
 		telemetry.DefLatencyBuckets())
-	telInflight = telemetry.Default.GaugeVec("knor_shardserve_inflight_requests",
-		"In-flight assignment requests per model at the fan-out edge.", "model")
 	telFailovers = telemetry.Default.CounterVec("knor_shardserve_failovers_total",
 		"Fan-outs that passed over a shard group's preferred replica (dead or erring) to a backup.",
 		"shard")

@@ -303,14 +303,16 @@ func (t *Topology) Close() {
 // for "the machine's pulser process is running" — knorserve wires it to
 // the shard layer's kill switch so a killed simulated machine goes
 // silent exactly like a dead process would. The returned stop function
-// halts the clock (idempotent).
+// halts the clock and returns once its goroutine has exited, so no
+// pulse or sweep follows it (idempotent).
 func (t *Topology) StartClock(every time.Duration, alive func(m int) bool) (stop func()) {
 	if every <= 0 {
 		every = t.cfg.PulseTimeout / 4
 	}
-	done := make(chan struct{})
+	done, exited := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	go func() {
+		defer close(exited)
 		tick := time.NewTicker(every)
 		defer tick.Stop()
 		for {
@@ -327,7 +329,10 @@ func (t *Topology) StartClock(every time.Duration, alive func(m int) bool) (stop
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
 }
 
 // Place returns the machines that should hold the replicas of shard s:
