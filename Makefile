@@ -15,7 +15,7 @@ test:
 
 # Race-detector pass over the concurrent subsystems (mirrors CI).
 race:
-	$(GO) test -race ./internal/serve/... ./internal/kmeans/... ./cmd/knorserve/... \
+	$(GO) test -race ./internal/blas/... ./internal/serve/... ./internal/kmeans/... ./cmd/knorserve/... \
 		./internal/store/... ./internal/sem/... ./internal/telemetry/... \
 		./internal/shardserve/... ./internal/cluster/... ./internal/topology/... \
 		./internal/netcluster/... ./internal/dist/... ./internal/cliutil/...
@@ -33,7 +33,7 @@ bench-precision:
 
 # EXPERIMENTS.md's Kernels table: SIMD vs pure-Go GEMM GFLOP/s at both
 # element widths, the row-distance kernel's ns per distance and the
-# float64 serving flush's µs by both paths, with the machine-readable
+# serving flush's µs by both paths at both widths, with the machine-readable
 # report (including the float32 asm/go speedup on the acceptance shape)
 # in BENCH_kernels.json.
 bench-kernels:
@@ -51,7 +51,7 @@ test-noasm:
 # alone only replays their seeds): the /v1/assign body decoder against
 # encoding/json, the netcluster frame codec, the SIMD GEMM and
 # row-distance kernels against the pure-Go loops, and the block-free
-# float64 flush against Dgemm + scan. Minimizing a new input may take
+# flush at both precisions against Dgemm + scan. Minimizing a new input may take
 # 60 s by default, which stalls a 10 s run on a large seed (the d32
 # assign body), so each minimization gets 100 executions; a failing
 # input is still reported, only less minimized.

@@ -3,11 +3,11 @@ package main
 // Kernels experiment: GFLOP/s of the Dgemm microkernels at both
 // element widths with the assembly path on and off (same binary — the
 // dispatch switch flips at runtime), ns per distance of the exact
-// row-distance kernel training's dense scans run, and µs per float64
-// serving flush by the block-free path and by Dgemm + scan. With -json
-// the measurements also land in a machine-readable file (the
-// bench-kernels Makefile target writes BENCH_kernels.json), including
-// the float32 asm/go speedup on the acceptance shape.
+// row-distance kernel training's dense scans run, and µs per serving
+// flush at both widths by the block-free path and by Dgemm + scan.
+// With -json the measurements also land in a machine-readable file
+// (the bench-kernels Makefile target writes BENCH_kernels.json),
+// including the float32 asm/go speedup on the acceptance shape.
 
 import (
 	"encoding/json"
@@ -40,11 +40,12 @@ type distRowsResult struct {
 	NsPerDist float64 `json:"ns_per_dist"`
 }
 
-// nearestResult is one float64 serving flush in the JSON report: m query
-// rows against a k×d model, answered by the block-free path
+// nearestResult is one serving flush in the JSON report: m query rows
+// against a k×d model, answered by the block-free path
 // (blas.NearestRows over a prebuilt panel, "panel") or by Dgemm into a
 // zeroed m×k block and a scan ("gemm"), in µs per flush.
 type nearestResult struct {
+	Dtype      string  `json:"dtype"`  // float32 | float64
 	Path       string  `json:"path"`   // panel | gemm
 	Kernel     string  `json:"kernel"` // go | avx2fma | neon
 	M          int     `json:"m"`
@@ -84,11 +85,11 @@ var distRowsShapes = []struct{ rows, d, k int }{
 	{2_000, 32, 1000},
 }
 
-// nearestShapes are the benchmark's float64 flushes: a d16 request (4
-// rows, k=100, d=16), a d32 request (64 rows, k=1000, d=32) and a d32
-// request at one of the cluster's two shards (k=500). The last, 64 rows
-// against k=10000, d=64, has a 5 MB panel that outgrows L2, where the
-// block-free path loses to Dgemm + scan.
+// nearestShapes are the benchmark's flushes: a d16 request (4 rows,
+// k=100, d=16), a d32 request (64 rows, k=1000, d=32) and a d32 request
+// at one of the cluster's two shards (k=500). The last, 64 rows against
+// k=10000, d=64, has a 5 MB float64 panel that outgrows L2, which the
+// block-free path walks in column blocks.
 var nearestShapes = []struct{ m, k, d int }{
 	{4, 100, 16},
 	{64, 1000, 32},
@@ -193,63 +194,25 @@ func kernelsExp(e env) {
 	}
 	printTable([]string{"SqDistRows", "kernel", "ns/dist"}, rows)
 
-	// One float64 serving flush, single-threaded, block-free against
-	// the m×k block it replaced. arm64 has no argmin kernel, so there
-	// the panel rows time the NEON tile with the Go scan.
+	// One serving flush at each width, single-threaded, block-free
+	// against the m×k block it replaced. Neither arm64 nor float32 has
+	// an argmin kernel, so there the panel rows time the tile with the
+	// Go scan.
 	rows = nil
 	for _, sh := range nearestShapes {
 		all := workload.Generate(workload.Spec{Kind: workload.UniformMultivariate, N: sh.m + sh.k, D: sh.d, Seed: int64(sh.k)})
-		a, cents := all.Data[:sh.m*sh.d], all.Data[sh.m*sh.d:]
-		normsSq := make([]float64, sh.k)
-		blas.RowNormsSq(cents, sh.k, sh.d, normsSq)
-		var panel blas.Panel
-		panel.Build(cents, sh.k, sh.d)
-		best, idx := make([]float64, sh.m), make([]int32, sh.m)
-		block, an := make([]float64, sh.m*sh.k), make([]float64, sh.m)
-		gemmScan := func() {
-			clear(block)
-			blas.Dgemm(-2, a, sh.m, sh.d, cents, sh.k, 1, block, 1)
-			blas.RowNormsSq(a, sh.m, sh.d, an)
-			for i := 0; i < sh.m; i++ {
-				row := block[i*sh.k : (i+1)*sh.k]
-				bv, bi := row[0]+an[i]+normsSq[0], 0
-				for j := 1; j < sh.k; j++ {
-					if v := row[j] + an[i] + normsSq[j]; v < bv {
-						bv, bi = v, j
-					}
-				}
-				best[i], idx[i] = bv, int32(bi)
-			}
-		}
 		iters := max(20, 200_000_000/(sh.m*sh.k*sh.d))
 		if e.quick {
 			iters = max(2, iters/10)
 		}
-		for _, asm := range []bool{true, false} {
-			if asm && !blas.AsmSupported() {
-				continue
-			}
-			prev := blas.SetAsmEnabled(asm)
-			name := blas.KernelName()
-			if !asm {
-				name = "go"
-			}
-			for _, path := range []struct {
-				name  string
-				flush func()
-			}{
-				{"panel", func() { blas.NearestRows(a, sh.m, &panel, normsSq, best, idx, 1) }},
-				{"gemm", gemmScan},
-			} {
-				us := timeReps(iters, path.flush) * 1e6
-				report.Nearest = append(report.Nearest, nearestResult{
-					Path: path.name, Kernel: name, M: sh.m, K: sh.k, D: sh.d, UsPerFlush: us})
-				rows = append(rows, []string{fmt.Sprintf("%dx%d k=%d", sh.m, sh.d, sh.k), path.name, name, fmt.Sprintf("%.1f", us)})
-			}
-			blas.SetAsmEnabled(prev)
+		for _, r := range append(nearestFlushes(all, sh.m, sh.k, sh.d, iters),
+			nearestFlushes(matrix.Convert[float32](all), sh.m, sh.k, sh.d, iters)...) {
+			report.Nearest = append(report.Nearest, r)
+			rows = append(rows, []string{fmt.Sprintf("%dx%d k=%d", sh.m, sh.d, sh.k), r.Dtype, r.Path, r.Kernel,
+				fmt.Sprintf("%.1f", r.UsPerFlush)})
 		}
 	}
-	printTable([]string{"float64 flush", "path", "kernel", "µs/flush"}, rows)
+	printTable([]string{"flush", "dtype", "path", "kernel", "µs/flush"}, rows)
 
 	if e.jsonPath != "" {
 		buf, err := json.MarshalIndent(&report, "", "  ")
@@ -264,4 +227,56 @@ func kernelsExp(e env) {
 		}
 		fmt.Printf("  wrote %s\n", e.jsonPath)
 	}
+}
+
+// nearestFlushes times one serving flush of the first m rows of all
+// against the next k, at all's element type, by both paths with the
+// assembly kernels on (when supported) and off, iters flushes each.
+func nearestFlushes[T blas.Float](all *matrix.Mat[T], m, k, d, iters int) []nearestResult {
+	a, cents := all.Data[:m*d], all.Data[m*d:(m+k)*d]
+	normsSq := make([]T, k)
+	blas.RowNormsSq(cents, k, d, normsSq)
+	var panel blas.Panel[T]
+	panel.Build(cents, k, d)
+	best, idx := make([]T, m), make([]int32, m)
+	block, an := make([]T, m*k), make([]T, m)
+	gemmScan := func() {
+		clear(block)
+		blas.Dgemm(-2, a, m, d, cents, k, 1, block, 1)
+		blas.RowNormsSq(a, m, d, an)
+		for i := 0; i < m; i++ {
+			row := block[i*k : (i+1)*k]
+			bv, bi := row[0]+an[i]+normsSq[0], 0
+			for j := 1; j < k; j++ {
+				if v := row[j] + an[i] + normsSq[j]; v < bv {
+					bv, bi = v, j
+				}
+			}
+			best[i], idx[i] = bv, int32(bi)
+		}
+	}
+	dtype := fmt.Sprintf("float%d", 8*blas.ElemBytes[T]())
+	var out []nearestResult
+	for _, asm := range []bool{true, false} {
+		if asm && !blas.AsmSupported() {
+			continue
+		}
+		prev := blas.SetAsmEnabled(asm)
+		name := blas.KernelName()
+		if !asm {
+			name = "go"
+		}
+		for _, path := range []struct {
+			name  string
+			flush func()
+		}{
+			{"panel", func() { blas.NearestRows(a, m, &panel, normsSq, best, idx, 1) }},
+			{"gemm", gemmScan},
+		} {
+			us := timeReps(iters, path.flush) * 1e6
+			out = append(out, nearestResult{Dtype: dtype, Path: path.name, Kernel: name, M: m, K: k, D: d, UsPerFlush: us})
+		}
+		blas.SetAsmEnabled(prev)
+	}
+	return out
 }

@@ -13,6 +13,7 @@ import (
 	"unicode/utf8"
 
 	"knor/internal/matrix"
+	"knor/internal/netcluster"
 	"knor/internal/serve"
 )
 
@@ -55,16 +56,33 @@ type rowsReq struct {
 
 var rowsReqPool = sync.Pool{New: func() any { return new(rowsReq) }}
 
-// readRows reads and decodes r's body, answering 400 itself when that
-// fails. The caller releases the request once nothing uses its rows.
+// maxBodyBytes caps every request body knorserve reads: the largest
+// payload the cluster carries (netcluster.MaxFrameBytes). A longer
+// body answers 413 once the cap is read, so an endless one is never
+// buffered whole.
+const maxBodyBytes = netcluster.MaxFrameBytes
+
+// readRows reads and decodes r's body, answering 413 or 400 itself when
+// that fails. The caller releases the request once nothing uses its
+// rows.
 func readRows(w http.ResponseWriter, r *http.Request) (*rowsReq, bool) {
 	q := rowsReqPool.Get().(*rowsReq)
-	if err := q.read(r.Body); err != nil {
+	if err := q.read(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		q.release()
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, bodyStatus(err), err)
 		return nil, false
 	}
 	return q, true
+}
+
+// bodyStatus is the status for a body that failed to read or decode:
+// 413 past maxBodyBytes, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // read reads the whole body and decodes it into q.

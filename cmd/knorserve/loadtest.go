@@ -82,7 +82,7 @@ func runLoadTest(srv *server, opts loadTestOptions) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.mux()}
+	hs := &http.Server{Handler: srv.mux(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go hs.Serve(ln)
 	defer hs.Close()
 	base := "http://" + ln.Addr().String()

@@ -532,9 +532,11 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// decodeBody decodes r's JSON body into v, at most maxBodyBytes of it,
+// answering 413 or 400 itself when that fails.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		writeErr(w, bodyStatus(err), fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true

@@ -394,3 +394,53 @@ func TestE2EZeroDimCreateRejected(t *testing.T) {
 		t.Fatalf("create after rejections: %d %v", code, body)
 	}
 }
+
+// byteRepeater is a request body that never ends: every read fills
+// its buffer with the one byte.
+type byteRepeater byte
+
+func (b byteRepeater) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestBodyCapped checks that request bodies stop at maxBodyBytes: a
+// /v1/assign body twice the cap and a /v1/models body one byte past it
+// each answer 413 once the cap is read, and the handler returns. A
+// server that read either body whole would answer 400, an unterminated
+// string. A normal request answers after both.
+func TestBodyCapped(t *testing.T) {
+	s, ts := newTestServer(t, serverOptions{})
+	if code, body := postJSON(t, ts.URL+"/v1/models",
+		`{"name":"ok","k":2,"spec":{"n":100,"d":4,"clusters":2,"seed":1}}`); code != http.StatusCreated {
+		t.Fatalf("create: %d %v", code, body)
+	}
+	for _, c := range []struct {
+		path, prefix string
+		size         int64
+	}{
+		{"/v1/assign", `{"model":"`, 2 * maxBodyBytes},
+		{"/v1/models", `{"name":"`, maxBodyBytes + 1},
+	} {
+		body := io.LimitReader(io.MultiReader(strings.NewReader(c.prefix), byteRepeater('a')), c.size)
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, body))
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("POST %s: handler still reading after 30 s", c.path)
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s of %d bytes: code %d (%.200s), want 413", c.path, c.size, rec.Code, rec.Body)
+		}
+	}
+	if code, body := postJSON(t, ts.URL+"/v1/assign", `{"model":"ok","rows":[[0,0,0,0]]}`); code != http.StatusOK {
+		t.Fatalf("assign after the capped bodies: %d %v", code, body)
+	}
+}

@@ -8,6 +8,15 @@ import (
 	"time"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's headers, and idleTimeout how long a keep-alive connection
+// may wait for its next request, so a stalled or abandoned client does
+// not hold a connection open for good.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // serveUntil serves s on ln until ctx is cancelled (SIGINT/SIGTERM in
 // main), then shuts down without dropping accepted work:
 //
@@ -21,7 +30,7 @@ import (
 // Returns nil on a clean drain; context.DeadlineExceeded if drainWait
 // elapsed with handlers still in flight; any other error from Serve.
 func serveUntil(ctx context.Context, ln net.Listener, s *server, drainWait time.Duration) error {
-	hs := &http.Server{Handler: s.mux()}
+	hs := &http.Server{Handler: s.mux(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

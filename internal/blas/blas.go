@@ -152,8 +152,7 @@ const splitWork = 1 << 20
 // rows against k×d centroids, given up to threads: 1 when threads ≤ 1
 // or the flush is below splitWork multiply-adds, where starting
 // goroutines costs more than it saves, and threads otherwise.
-// NearestRows applies it to float64 flushes; float32 flushes pass its
-// answer to Dgemm.
+// NearestRows applies it to every serving flush, at either precision.
 func SplitThreads(m, k, d, threads int) int {
 	if threads <= 1 || m*k*d < splitWork {
 		return 1
@@ -161,34 +160,46 @@ func SplitThreads(m, k, d, threads int) int {
 	return threads
 }
 
-// dgemmRange dispatches rows [rlo, rhi) to the width-specific kernel.
-// When the CPU probe enabled them (see kernels.go) the assembly drivers
-// take both widths: float64 asm is bit-identical to the reference
-// schedule by construction, float32 asm keeps the same ULP-level and
-// column-slice-invariance contracts as the tiled Go microkernel.
-// Otherwise float64 runs the legacy reference order (bit-identity with
-// the oracle) and float32 the register-tiled Go microkernel.
+// dgemmRange runs rows [rlo, rhi) through the kernel dispatchAsm
+// picks. The assembly driver takes both widths: float64 asm is
+// bit-identical to the reference schedule by construction, float32 asm
+// keeps the same ULP-level and column-slice-invariance contracts as
+// the tiled Go microkernel. Otherwise dgemmGo runs.
 func dgemmRange[T Float](alpha T, a []T, m, k int, b []T, n int, c []T, rlo, rhi int) {
-	asm := asmEnabled.Load()
-	if a32, ok := any(a).([]float32); ok {
-		b32, c32 := any(b).([]float32), any(c).([]float32)
-		if asm {
-			telGemmAsm32.Inc()
-			dgemmBlockAsm32(float32(alpha), a32, m, k, b32, n, c32, rlo, rhi)
-			return
-		}
-		telGemmGo32.Inc()
-		dgemmBlock32(float32(alpha), a32, m, k, b32, n, c32, rlo, rhi)
+	if dispatchAsm[T]() {
+		dgemmBlockAsm(alpha, a, m, k, b, n, c, rlo, rhi)
 		return
 	}
-	if asm {
-		if a64, ok := any(a).([]float64); ok {
-			telGemmAsm64.Inc()
-			dgemmBlockAsm64(float64(alpha), a64, m, k, any(b).([]float64), n, any(c).([]float64), rlo, rhi)
-			return
-		}
+	dgemmGo(alpha, a, m, k, b, n, c, rlo, rhi)
+}
+
+// dispatchAsm reports whether one row stripe of element type T runs
+// the assembly kernels (see kernels.go) and counts the stripe on
+// knor_blas_gemm_dispatch_total under its width and implementation.
+// Dgemm and NearestRows call it once per stripe.
+func dispatchAsm[T Float]() bool {
+	asm := asmEnabled.Load()
+	switch {
+	case ElemBytes[T]() == 4 && asm:
+		telGemmAsm32.Inc()
+	case ElemBytes[T]() == 4:
+		telGemmGo32.Inc()
+	case asm:
+		telGemmAsm64.Inc()
+	default:
+		telGemmGo64.Inc()
 	}
-	telGemmGo64.Inc()
+	return asm
+}
+
+// dgemmGo runs rows [rlo, rhi) through the pure-Go kernel of T's
+// width: the register-tiled dgemmBlock32 at float32, and at float64
+// the reference order (bit-identity with the oracle).
+func dgemmGo[T Float](alpha T, a []T, m, k int, b []T, n int, c []T, rlo, rhi int) {
+	if a32, ok := any(a).([]float32); ok {
+		dgemmBlock32(float32(alpha), a32, m, k, any(b).([]float32), n, any(c).([]float32), rlo, rhi)
+		return
+	}
 	dgemmBlock(alpha, a, m, k, b, n, c, rlo, rhi)
 }
 

@@ -49,12 +49,10 @@ func SetAsmEnabled(on bool) bool {
 // only path.
 func KernelName() string { return kernelName }
 
-// Lanes per SIMD vector: the assembly drivers pad packed panels, and
-// Panel its columns, to a multiple of these.
-const (
-	packLanes32 = 8 // float32 lanes per vector (AVX2 YMM / 2×NEON)
-	packLanes64 = 4 // float64 lanes per vector
-)
+// packLanes is T's lanes per 32-byte SIMD vector (an AVX2 YMM register,
+// two NEON registers): the assembly driver pads packed panels, and
+// Panel its columns, to a multiple of it.
+func packLanes[T Float]() int { return 32 / ElemBytes[T]() }
 
 // roundUp rounds n up to a multiple of m (a power of two).
 func roundUp(n, m int) int { return (n + m - 1) &^ (m - 1) }

@@ -8,19 +8,15 @@ package blas
 // unreachable through dispatch, but delegating keeps them honest if ever
 // called directly (the differential tests do).
 
-func dgemmBlockAsm32(alpha float32, a []float32, m, k int, b []float32, n int, c []float32, rlo, rhi int) {
-	dgemmBlock32(alpha, a, m, k, b, n, c, rlo, rhi)
-}
-
-func dgemmBlockAsm64(alpha float64, a []float64, m, k int, b []float64, n int, c []float64, rlo, rhi int) {
-	dgemmBlock(alpha, a, m, k, b, n, c, rlo, rhi)
+func dgemmBlockAsm[T Float](alpha T, a []T, m, k int, b []T, n int, c []T, rlo, rhi int) {
+	dgemmGo(alpha, a, m, k, b, n, c, rlo, rhi)
 }
 
 func sqDistRowsAsm64(x, y []float64, n int, out []float64) int { return 0 }
 
-// panelTileAsm64 has no Go body: NearestRows runs dgemmBlock instead
-// whenever the assembly is off.
-func panelTileAsm64(alpha float64, a0, a1, t, c0, c1 []float64, jn, ld, rows int) {
+// panelTile has no Go body: NearestRows runs dgemmGo instead whenever
+// the assembly is off.
+func panelTile[T Float](alpha T, a0, a1, t, c0, c1 *T, jn, ld, kl, rows int) {
 	panic("blas: no assembly kernels on this build")
 }
 

@@ -1,6 +1,7 @@
 package blas_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,12 +11,12 @@ import (
 // gemmScan is the answer NearestRows must reproduce: Dgemm(−2, …,
 // beta = 1) into a zeroed m×k block, then a strict-< scan of
 // (block + ‖aᵢ‖²) + ‖cⱼ‖² from j = 0.
-func gemmScan(a []float64, m, d int, c []float64, k int, normsSq []float64) ([]float64, []int32) {
-	dist := make([]float64, m*k)
+func gemmScan[T blas.Float](a []T, m, d int, c []T, k int, normsSq []T) ([]T, []int32) {
+	dist := make([]T, m*k)
 	blas.Dgemm(-2, a, m, d, c, k, 1, dist, 1)
-	an := make([]float64, m)
+	an := make([]T, m)
 	blas.RowNormsSq(a, m, d, an)
-	best, idx := make([]float64, m), make([]int32, m)
+	best, idx := make([]T, m), make([]int32, m)
 	for i := 0; i < m; i++ {
 		row := dist[i*k : (i+1)*k]
 		bv, bi := row[0]+an[i]+normsSq[0], 0
@@ -29,48 +30,63 @@ func gemmScan(a []float64, m, d int, c []float64, k int, normsSq []float64) ([]f
 	return best, idx
 }
 
-// FuzzNearestRowsParity holds NearestRows, with the assembly on and
-// off and at 1 and 3 threads, to Dgemm + scan over fuzzed shapes (d > 64
-// takes more than one p block, and m·k·d ≥ 2^20 splits the rows) and
-// inputs salted with the SqDistRows specials. Every row must
-// get the same centroid and value; two NaNs count as equal, since an
-// input NaN's payload is the hardware's choice.
+// FuzzNearestRowsParity holds NearestRows at both precisions, with the
+// assembly on and off and at 1 and 3 threads, to Dgemm + scan (on the
+// same kernels: float32's assembly fuses its multiply-adds) over
+// fuzzed shapes (d > 64 takes more than one p block, m·k·d ≥ 2^20
+// splits the rows, and k past the panel's 256 KiB block budget takes
+// more than one column block: from 235 centroids at float64 and 469 at
+// float32 when d = 140) and inputs salted with the SqDistRows
+// specials. Every centroid at a multiple of 64, where a column block
+// may start, copies the one before it, so exact ties straddle every
+// block boundary. Every row must get the same centroid and value; two
+// NaNs count as equal, since an input NaN's payload is the hardware's
+// choice.
 func FuzzNearestRowsParity(f *testing.F) {
 	f.Add(int64(1), 3, 5, 7)
 	f.Add(int64(2), 1, 1, 1)
 	f.Add(int64(3), 64, 100, 16)
 	f.Add(int64(4), 5, 17, 65)
 	f.Add(int64(5), 79, 300, 64)
+	f.Add(int64(6), 33, 1000, 140)
 	f.Fuzz(func(t *testing.T, seed int64, m, k, d int) {
-		if m < 1 || k < 1 || d < 1 || m > 80 || k > 300 || d > 140 {
+		if m < 1 || k < 1 || d < 1 || m > 80 || k > 1200 || d > 140 {
 			t.Skip()
 		}
-		rng := rand.New(rand.NewSource(seed))
-		a := sqDistInput[float64](rng, m*d, 0.05)
-		c := sqDistInput[float64](rng, k*d, 0.05)
-		if k > 2 {
-			copy(c[(k-1)*d:], c[d:2*d]) // an exact tie between centroids 1 and k-1
-		}
-		normsSq := make([]float64, k)
-		blas.RowNormsSq(c, k, d, normsSq)
+		nearestParity[float64](t, seed, m, k, d)
+		nearestParity[float32](t, seed, m, k, d)
+	})
+}
+
+func nearestParity[T blas.Float](t *testing.T, seed int64, m, k, d int) {
+	rng := rand.New(rand.NewSource(seed))
+	a := sqDistInput[T](rng, m*d, 0.05)
+	c := sqDistInput[T](rng, k*d, 0.05)
+	if k > 2 {
+		copy(c[(k-1)*d:], c[d:2*d]) // an exact tie between centroids 1 and k-1
+	}
+	for j := 64; j < k; j += 64 {
+		copy(c[j*d:(j+1)*d], c[(j-1)*d:j*d])
+	}
+	normsSq := make([]T, k)
+	blas.RowNormsSq(c, k, d, normsSq)
+	var p blas.Panel[T]
+	p.Build(c, k, d)
+	for _, asm := range []bool{true, false} {
+		prev := blas.SetAsmEnabled(asm)
 		wantV, wantI := gemmScan(a, m, d, c, k, normsSq)
-		var p blas.Panel
-		p.Build(c, k, d)
-		for _, asm := range []bool{true, false} {
-			for _, threads := range []int{1, 3} {
-				best, idx := make([]float64, m), make([]int32, m)
-				prev := blas.SetAsmEnabled(asm)
-				blas.NearestRows(a, m, &p, normsSq, best, idx, threads)
-				blas.SetAsmEnabled(prev)
-				for i := range best {
-					if idx[i] != wantI[i] || !sameBits(best[i], wantV[i]) {
-						t.Fatalf("m=%d k=%d d=%d asm=%v threads=%d: row %d got (%v, %d), Dgemm+scan (%v, %d)",
-							m, k, d, asm, threads, i, best[i], idx[i], wantV[i], wantI[i])
-					}
+		for _, threads := range []int{1, 3} {
+			best, idx := make([]T, m), make([]int32, m)
+			blas.NearestRows(a, m, &p, normsSq, best, idx, threads)
+			for i := range best {
+				if idx[i] != wantI[i] || !sameBits(best[i], wantV[i]) {
+					t.Fatalf("%T m=%d k=%d d=%d asm=%v threads=%d: row %d got (%v, %d), Dgemm+scan (%v, %d)",
+						best[i], m, k, d, asm, threads, i, best[i], idx[i], wantV[i], wantI[i])
 				}
 			}
 		}
-	})
+		blas.SetAsmEnabled(prev)
+	}
 }
 
 // TestSplitThreads pins the split rule both precisions' flushes share:
@@ -96,30 +112,32 @@ func TestSplitThreads(t *testing.T) {
 	}
 }
 
-// BenchmarkNearestRows times one float64 flush's distance computation
-// at the benchmark's request shapes, with the assembly kernels on and
-// off: d16 (4 rows, k=100, d=16), d32 (64 rows, k=1000, d=32) and a
-// d32 shard (64 rows, k=500). knorbench -exp kernels times Dgemm + scan
-// beside it.
+// BenchmarkNearestRows times one flush's distance computation at both
+// precisions at the benchmark's request shapes, with the assembly
+// kernels on and off: d16 (4 rows, k=100, d=16), d32 (64 rows, k=1000,
+// d=32), a d32 shard (64 rows, k=500) and k10000d64 (64 rows, k=10000,
+// d=64), whose panel takes several column blocks. knorbench -exp
+// kernels times Dgemm + scan beside it.
 func BenchmarkNearestRows(b *testing.B) {
+	b.Run("float64", benchNearestRows[float64])
+	b.Run("float32", benchNearestRows[float32])
+}
+
+func benchNearestRows[T blas.Float](b *testing.B) {
 	for _, sh := range []struct {
 		name    string
 		m, k, d int
-	}{{"d16", 4, 100, 16}, {"d32", 64, 1000, 32}, {"d32shard", 64, 500, 32}} {
+	}{{"d16", 4, 100, 16}, {"d32", 64, 1000, 32}, {"d32shard", 64, 500, 32}, {"k10000d64", 64, 10000, 64}} {
 		rng := rand.New(rand.NewSource(51))
-		a := fillF64(rng, sh.m*sh.d)
-		c := fillF64(rng, sh.k*sh.d)
-		normsSq := make([]float64, sh.k)
+		a := sqDistInput[T](rng, sh.m*sh.d, 0)
+		c := sqDistInput[T](rng, sh.k*sh.d, 0)
+		normsSq := make([]T, sh.k)
 		blas.RowNormsSq(c, sh.k, sh.d, normsSq)
-		var p blas.Panel
+		var p blas.Panel[T]
 		p.Build(c, sh.k, sh.d)
-		best, idx := make([]float64, sh.m), make([]int32, sh.m)
+		best, idx := make([]T, sh.m), make([]int32, sh.m)
 		for _, asm := range []bool{true, false} {
-			kern := "go"
-			if asm {
-				kern = "asm"
-			}
-			b.Run(sh.name+"/"+kern, func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", sh.name, map[bool]string{true: "asm", false: "go"}[asm]), func(b *testing.B) {
 				if asm && !blas.AsmSupported() {
 					b.Skip("no assembly kernels on this build")
 				}
@@ -139,7 +157,7 @@ func BenchmarkNearestRows(b *testing.B) {
 func BenchmarkPanelBuild(b *testing.B) {
 	const k, d = 1000, 32
 	c := fillF64(rand.New(rand.NewSource(52)), k*d)
-	var p blas.Panel
+	var p blas.Panel[float64]
 	for b.Loop() {
 		p.Build(c, k, d)
 	}

@@ -2,10 +2,11 @@ package blas
 
 import "knor/internal/telemetry"
 
-// Kernel-dispatch counters: one bump per dgemmRange stripe (not per
-// inner block — the label children are cached so the hot path is a
-// single atomic add). `kernel` is go32/go64/asm32/asm64, so a scrape
-// shows which implementation served the GEMM traffic.
+// Kernel-dispatch counters: one bump per row stripe of Dgemm or
+// NearestRows (dispatchAsm; not per inner block — the label children
+// are cached so the hot path is a single atomic add). `kernel` is
+// go32/go64/asm32/asm64, so a scrape shows which implementation served
+// the GEMM traffic.
 var (
 	telGemmDispatch = telemetry.Default.CounterVec(
 		"knor_blas_gemm_dispatch_total",

@@ -62,9 +62,10 @@ func RunGEMM(data *matrix.Dense, cfg Config, chunk, threads int) (*Result, error
 
 // RunGEMMOf is RunGEMM generic over the element type. At float32 the
 // blocked distance computation routes through the register-tiled
-// float32 Dgemm microkernel — the serving assign path's kernel — so
-// this is also the float32 training baseline knorbench's precision
-// sweep measures.
+// float32 Dgemm microkernel — the tile the serving flush also runs,
+// against its cached panel instead of a materialised block — so this
+// is also the float32 training baseline knorbench's precision sweep
+// measures.
 func RunGEMMOf[T blas.Float](data *matrix.Mat[T], cfg Config, chunk, threads int) (*Result, error) {
 	if chunk <= 0 {
 		chunk = 4096

@@ -28,9 +28,9 @@ type Assignment struct {
 // BatcherOptions tune the assignment path.
 type BatcherOptions struct {
 	// Threads is the most goroutines one flush's distance computation
-	// splits across (default 1). Either precision splits only a flush
-	// of 2^20 multiply-adds (m·k·d) or more, below which the split did
-	// not pay (blas.SplitThreads).
+	// splits across, in row stripes (default 1). A flush splits only
+	// from 2^20 multiply-adds (m·k·d), below which the split did not
+	// pay (blas.SplitThreads).
 	Threads int
 	// ModelQuota bounds in-flight requests per model (queued or being
 	// answered) at the edge; further requests fail fast with an error
@@ -85,12 +85,13 @@ type batchAnswer struct {
 // splits one batch across versions. AssignBatch enters through the
 // batcher's Edge; a fan-out's shard batchers answer through AssignRaw.
 //
-// The element type selects the assign hot path's precision: float64
-// reproduces the pre-generic Batcher exactly, one pair of query rows at
-// a time against a centroid panel the batcher caches; float32 runs the
-// register-tiled Dgemm microkernel against the registry's precomputed
-// float32 centroid mirror — half the memory traffic per flush, answers
-// within the relative-error bounds documented in EXPERIMENTS.md.
+// Both precisions flush one way: one pair of query rows at a time
+// against a centroid panel the batcher caches, a column block at a
+// time. The element type selects the precision: float64 reproduces the
+// pre-generic Batcher exactly; float32 runs the register-tiled float32
+// tile against the registry's lazily built float32 centroid mirror —
+// half the memory traffic per flush, answers within the relative-error
+// bounds documented in EXPERIMENTS.md.
 type BatcherOf[T blas.Float] struct {
 	reg  *Registry
 	opts BatcherOptions
@@ -107,14 +108,10 @@ type BatcherOf[T blas.Float] struct {
 
 	flushes telemetry.Counter
 
-	// blocks recycles the float32 path's m×k distance block (a *[]T)
-	// between flushes.
-	blocks sync.Pool
-
-	// panel holds the float64 path's transposed centroids, built from
-	// panelOf, the last snapshot a flush answered from. Only the
-	// flusher goroutine touches them.
-	panel   blas.Panel
+	// panel holds the transposed centroids at T, built from panelOf,
+	// the last snapshot a flush answered from. Only the flusher
+	// goroutine touches them.
+	panel   blas.Panel[T]
 	panelOf *Model
 }
 
@@ -340,68 +337,25 @@ func (b *BatcherOf[T]) flush(batch []pendingReq[T]) {
 }
 
 // assignBlock computes nearest centroids for an m×d row block via the
-// ‖v‖² + ‖c‖² − 2·V·Cᵀ identity, reusing the snapshot's cached ‖c‖² at
-// the block's element type: float64 blocks take the block-free path,
-// whose answers are bit for bit assignGemm's, and float32 blocks
-// assignGemm itself. Distances are raw: cancellation can leave them
-// slightly negative, and the edge clamps them once.
-func (b *BatcherOf[T]) assignBlock(a []T, m int, snap *Model) []Assignment {
-	if a64, ok := any(a).([]float64); ok {
-		return b.assignPanel(a64, m, snap)
-	}
-	return b.assignGemm(a, m, snap)
-}
-
-// assignPanel answers a float64 block without the m×k distance block:
+// ‖v‖² + ‖c‖² − 2·V·Cᵀ identity without the m×k distance block:
 // blas.NearestRows runs each pair of rows against the batcher's
-// centroid panel, which is rebuilt in place only when a flush names
-// another snapshot than the last one.
-func (b *BatcherOf[T]) assignPanel(a []float64, m int, snap *Model) []Assignment {
-	cents, normsSq := centroidsOf[float64](snap)
+// centroid panel, built from the snapshot's centroids and cached ‖c‖²
+// at the block's element type, and rebuilt in place only when a flush
+// names another snapshot than the last one. Distances are raw:
+// cancellation can leave them slightly negative, and the edge clamps
+// them once.
+func (b *BatcherOf[T]) assignBlock(a []T, m int, snap *Model) []Assignment {
+	cents, normsSq := centroidsOf[T](snap)
 	if b.panelOf != snap {
 		b.panel.Build(cents.Data, snap.K(), snap.Dims())
 		b.panelOf = snap
 	}
-	best, idx := make([]float64, m), make([]int32, m)
+	best, idx := make([]T, m), make([]int32, m)
 	blas.NearestRows(a, m, &b.panel, normsSq, best, idx, b.opts.Threads)
 	out := make([]Assignment, m)
 	for i, v := range best {
-		out[i] = Assignment{Cluster: idx[i], SqDist: v, Version: snap.Version}
+		out[i] = Assignment{Cluster: idx[i], SqDist: float64(v), Version: snap.Version}
 	}
-	return out
-}
-
-// assignGemm is the GEMM path: Dgemm fills a pooled m×k distance block,
-// on as many goroutines as blas.SplitThreads allows, and a scan takes
-// each row's first smallest distance.
-func (b *BatcherOf[T]) assignGemm(a []T, m int, snap *Model) []Assignment {
-	k, d := snap.K(), snap.Dims()
-	cents, normsSq := centroidsOf[T](snap)
-	block, _ := b.blocks.Get().(*[]T)
-	if block == nil || cap(*block) < m*k {
-		block = new([]T)
-		*block = make([]T, m*k)
-	}
-	dist := (*block)[:m*k]
-	// Accumulate into a zeroed block with beta = 1. Dgemm scales c by
-	// beta first, and beta = 0 would turn a ±Inf an earlier flush left
-	// in the block into NaN (0·Inf).
-	clear(dist)
-	blas.Dgemm(-2, a, m, d, cents.Data, k, 1, dist, blas.SplitThreads(m, k, d, b.opts.Threads))
-	an := make([]T, m)
-	blas.RowNormsSq(a, m, d, an)
-	out := make([]Assignment, m)
-	for i := 0; i < m; i++ {
-		row := dist[i*k : (i+1)*k]
-		best, bi := row[0]+an[i]+normsSq[0], 0
-		for j := 1; j < k; j++ {
-			if v := row[j] + an[i] + normsSq[j]; v < best {
-				best, bi = v, j
-			}
-		}
-		out[i] = Assignment{Cluster: int32(bi), SqDist: float64(best), Version: snap.Version}
-	}
-	b.blocks.Put(block)
 	return out
 }
 

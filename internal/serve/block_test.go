@@ -36,11 +36,9 @@ func blockFixture[T blas.Float](tb testing.TB, m, k, d int) (*BatcherOf[T], *Mod
 	return &BatcherOf[T]{opts: BatcherOptions{}.withDefaults()}, snap, rows
 }
 
-// TestAssignBlockReusedBlockExact checks that buffers an earlier flush
-// left holding -Inf answer the next flush exactly as fresh ones do: the
-// float32 path's pooled m×k block, where Dgemm with beta = 0 would
-// scale the stale -Inf into NaN before accumulating, and the float64
-// path's panel accumulator.
+// TestAssignBlockReusedBlockExact checks that the panel accumulator an
+// earlier flush left holding -Inf answers the next flush exactly as a
+// fresh one does, at both precisions.
 func TestAssignBlockReusedBlockExact(t *testing.T) {
 	t.Run("float64", func(t *testing.T) { testReusedBlockExact[float64](t, 1e308) })
 	t.Run("float32", func(t *testing.T) { testReusedBlockExact[float32](t, 1e38) })
@@ -69,17 +67,12 @@ func testReusedBlockExact[T blas.Float](t *testing.T, huge T) {
 }
 
 // TestAssignBlockSteadyStateBytes gates the bytes a steady-state flush
-// of the d32 benchmark shape (64 rows, k=1000, d=32) allocates. The
-// float64 path keeps only its answers, about 2 KB: the centroid panel
-// and the row-pair accumulator are the batcher's. The float32 path
-// reuses its m×k block, so only Dgemm's pack buffer and the per-row
-// outputs remain, against 551 KB when every flush allocated its block.
+// of the d32 benchmark shape (64 rows, k=1000, d=32) allocates. At
+// either precision only the answers remain, about 2 KB: the centroid
+// panel and the row-pair accumulator are the batcher's.
 func TestAssignBlockSteadyStateBytes(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop values")
-	}
 	t.Run("float64", func(t *testing.T) { testSteadyStateBytes[float64](t, 4<<10) })
-	t.Run("float32", func(t *testing.T) { testSteadyStateBytes[float32](t, 64<<10) })
+	t.Run("float32", func(t *testing.T) { testSteadyStateBytes[float32](t, 4<<10) })
 }
 
 func testSteadyStateBytes[T blas.Float](t *testing.T, limit uint64) {
@@ -97,15 +90,44 @@ func testSteadyStateBytes[T blas.Float](t *testing.T, limit uint64) {
 	}
 }
 
+// gemmScanAssign is the flush NearestRows replaced, kept as the answer
+// the block-free path must reproduce bit for bit: Dgemm(−2, …,
+// beta = 1) into a zeroed m×k block, then a strict-< scan of
+// (block + ‖aᵢ‖²) + ‖cⱼ‖² from j = 0, on the snapshot's centroids and
+// norms at T.
+func gemmScanAssign[T blas.Float](a []T, m int, snap *Model) []Assignment {
+	k, d := snap.K(), snap.Dims()
+	cents, normsSq := centroidsOf[T](snap)
+	dist := make([]T, m*k)
+	blas.Dgemm(-2, a, m, d, cents.Data, k, 1, dist, 1)
+	an := make([]T, m)
+	blas.RowNormsSq(a, m, d, an)
+	out := make([]Assignment, m)
+	for i := range out {
+		row := dist[i*k : (i+1)*k]
+		best, bi := row[0]+an[i]+normsSq[0], 0
+		for j := 1; j < k; j++ {
+			if v := row[j] + an[i] + normsSq[j]; v < best {
+				best, bi = v, j
+			}
+		}
+		out[i] = Assignment{Cluster: int32(bi), SqDist: float64(best), Version: snap.Version}
+	}
+	return out
+}
+
 // panelCase draws the centroids and query rows of one shape for
 // TestAssignPanelMatchesGemm. The "ties" fixture holds exact ties and
 // signed zeros: centroid k-1 copies centroid 0, centroids 1 and k-2 are
 // all zero, query row 0 equals centroid 0 (a distance whose identity
 // can read below zero), and the last query row is all zero. The "huge"
-// fixture puts magnitudes from 1e154 to 1e308 in every third row and
-// centroid, all of it in every third after that, so norms and dot
-// terms overflow to ±Inf and distances to NaN.
-func panelCase(rng *rand.Rand, fixture string, m, k, d int) (cents, rows []float64) {
+// fixture puts magnitudes from 10^hugeExp to 10^(2·hugeExp) in every
+// third row and centroid, all of it in every third after that, so
+// norms and dot terms overflow to ±Inf and distances to NaN. The
+// "boundary" fixture ties across column blocks: every centroid at a
+// multiple of 64, where a block may start, copies the one before it,
+// and query row r equals centroid 64(r+1)−1, the last of its block.
+func panelCase(rng *rand.Rand, fixture string, m, k, d int, hugeExp float64) (cents, rows []float64) {
 	cents = make([]float64, k*d)
 	rows = make([]float64, m*d)
 	for _, s := range [][]float64{cents, rows} {
@@ -132,7 +154,7 @@ func panelCase(rng *rand.Rand, fixture string, m, k, d int) (cents, rows []float
 		}
 	case "huge":
 		hugeVal := func() float64 {
-			return math.Copysign(math.Pow(10, 154+154*rng.Float64()), rng.NormFloat64())
+			return math.Copysign(math.Pow(10, hugeExp+hugeExp*rng.Float64()), rng.NormFloat64())
 		}
 		for _, sn := range []struct {
 			s []float64
@@ -150,44 +172,68 @@ func panelCase(rng *rand.Rand, fixture string, m, k, d int) (cents, rows []float
 				}
 			}
 		}
+	case "boundary":
+		for j := 64; j < k; j += 64 {
+			copy(row(cents, j), row(cents, j-1))
+		}
+		for r := 0; r < m && 64*(r+1) < k; r++ {
+			copy(row(rows, r), row(cents, 64*(r+1)-1))
+		}
 	}
 	return cents, rows
 }
 
-// TestAssignPanelMatchesGemm holds the float64 block-free path to the
-// GEMM path it replaced (Dgemm into a zeroed block, then the scan), bit
-// for bit: every row's cluster id and raw distance, at every shape
-// below, with the assembly kernels on and off and at 1 and 3 Threads.
-// The shapes cover the row pair's odd row, the argmin's 8-lane steps
-// and Go tail, d > 64, where the dot terms take more than one p block,
-// and flushes large enough to split into row stripes (m·k·d ≥ 2^20)
-// with a stripe of odd length.
+// TestAssignPanelMatchesGemm holds the block-free flush to the GEMM
+// path it replaced (Dgemm into a zeroed block, then the scan), bit for
+// bit at both precisions: every row's cluster id and raw distance, at
+// every shape below, with the assembly kernels on and off and at 1 and
+// 3 Threads. The shapes cover the row pair's odd row, the argmin's
+// 8-lane steps and Go tail, d > 64, where the dot terms take more than
+// one p block, flushes large enough to split into row stripes
+// (m·k·d ≥ 2^20) with a stripe of odd length, and panels past the
+// 256 KiB column-block budget: k=500 and 1000 at d=130 (blocks of 192
+// columns at float64, 448 at float32), k=1000 at d=64 (512 at float64)
+// and k=3000 at d=32 (1024 at float64, 2048 at float32).
 func TestAssignPanelMatchesGemm(t *testing.T) {
+	t.Run("float64", func(t *testing.T) { testPanelMatchesGemm[float64](t, 154) })
+	t.Run("float32", func(t *testing.T) { testPanelMatchesGemm[float32](t, 19) })
+}
+
+func testPanelMatchesGemm[T blas.Float](t *testing.T, hugeExp float64) {
 	rng := rand.New(rand.NewSource(60))
-	for _, fixture := range []string{"ties", "huge"} {
-		for _, m := range []int{1, 2, 3, 64, 65} {
-			for _, k := range []int{1, 3, 4, 5, 16, 17, 100, 500, 1000} {
-				for _, d := range []int{1, 3, 16, 32, 64, 65, 130} {
-					cents, rows := panelCase(rng, fixture, m, k, d)
-					c := matrix.NewDense(k, d)
-					copy(c.Data, cents)
-					snap, err := NewRegistry(1).Publish("m", c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, asm := range []bool{true, false} {
-						prev := blas.SetAsmEnabled(asm)
-						for _, threads := range []int{1, 3} {
-							b := &BatcherOf[float64]{opts: BatcherOptions{Threads: threads}.withDefaults()}
-							want := b.assignGemm(rows, m, snap)
-							got := b.assignBlock(rows, m, snap)
-							label := fmt.Sprintf("%s m=%d k=%d d=%d asm=%v threads=%d",
-								fixture, m, k, d, asm, threads)
-							checkSameAnswers(t, label, got, want)
-						}
-						blas.SetAsmEnabled(prev)
-					}
+	type shape struct{ m, k, d int }
+	var shapes []shape
+	for _, m := range []int{1, 2, 3, 64, 65} {
+		for _, k := range []int{1, 3, 4, 5, 16, 17, 100, 500, 1000} {
+			for _, d := range []int{1, 3, 16, 32, 64, 65, 130} {
+				shapes = append(shapes, shape{m, k, d})
+			}
+		}
+	}
+	for _, m := range []int{3, 65} {
+		shapes = append(shapes, shape{m, 3000, 32})
+	}
+	for _, fixture := range []string{"ties", "huge", "boundary"} {
+		for _, sh := range shapes {
+			m, k, d := sh.m, sh.k, sh.d
+			cents, rows64 := panelCase(rng, fixture, m, k, d, hugeExp)
+			c := matrix.NewDense(k, d)
+			copy(c.Data, cents)
+			snap, err := NewRegistry(1).Publish("m", c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := matrix.Convert[T](&matrix.Dense{Data: rows64, RowsN: m, ColsN: d}).Data
+			for _, asm := range []bool{true, false} {
+				prev := blas.SetAsmEnabled(asm)
+				want := gemmScanAssign(rows, m, snap)
+				for _, threads := range []int{1, 3} {
+					b := &BatcherOf[T]{opts: BatcherOptions{Threads: threads}.withDefaults()}
+					label := fmt.Sprintf("%s m=%d k=%d d=%d asm=%v threads=%d",
+						fixture, m, k, d, asm, threads)
+					checkSameAnswers(t, label, b.assignBlock(rows, m, snap), want)
 				}
+				blas.SetAsmEnabled(prev)
 			}
 		}
 	}
@@ -201,48 +247,55 @@ func checkSameAnswers(t *testing.T, label string, got, want []Assignment) {
 	for i := range want {
 		if got[i].Cluster != want[i].Cluster || got[i].Version != want[i].Version ||
 			math.Float64bits(got[i].SqDist) != math.Float64bits(want[i].SqDist) {
-			t.Fatalf("%s: row %d got %+v, GEMM path %+v", label, i, got[i], want[i])
+			t.Fatalf("%s: row %d got %+v, want %+v", label, i, got[i], want[i])
 		}
 	}
 }
 
-// TestAssignGemm32SplitParity checks that the float32 flush's answers
-// do not depend on Threads once the flush is large enough to split
-// (m·k·d ≥ 2^20), with the assembly kernels on and off. 67 rows give
-// 3 threads stripes of 23, so rows 22 and 45, which share a row pair
-// with a neighbour at 1 thread, run alone at 3. A flush below the
-// threshold runs as one Dgemm row stripe at any Threads.
-func TestAssignGemm32SplitParity(t *testing.T) {
+// TestAssignSplitParity checks that a flush's answers do not depend on
+// Threads once the flush is large enough to split (m·k·d ≥ 2^20), at
+// both precisions and with the assembly kernels on and off. 67 rows
+// give 3 threads stripes of 23, so rows 22 and 45, which share a row
+// pair with a neighbour at 1 thread, run alone at 3; the dispatch
+// counter of the flush's width counts the 3 stripes. A flush below the
+// threshold runs as one stripe at any Threads.
+func TestAssignSplitParity(t *testing.T) {
+	t.Run("float64", testSplitParity[float64])
+	t.Run("float32", testSplitParity[float32])
+}
+
+func testSplitParity[T blas.Float](t *testing.T) {
 	const m, k, d = 67, 1000, 32
-	one, snap, rows := blockFixture[float32](t, m, k, d)
-	three := &BatcherOf[float32]{opts: BatcherOptions{Threads: 3}.withDefaults()}
+	one, snap, rows := blockFixture[T](t, m, k, d)
+	three := &BatcherOf[T]{opts: BatcherOptions{Threads: 3}.withDefaults()}
 	for _, asm := range []bool{true, false} {
 		prev := blas.SetAsmEnabled(asm)
-		before := float32Stripes()
+		before := stripes[T]()
 		got := three.assignBlock(rows, m, snap)
-		if n := float32Stripes() - before; n != 3 {
+		if n := stripes[T]() - before; n != 3 {
 			t.Fatalf("asm=%v: a %d×%d×%d flush at 3 threads ran %v row stripes, want 3", asm, m, k, d, n)
 		}
 		checkSameAnswers(t, fmt.Sprintf("asm=%v threads=3 against 1", asm), got, one.assignBlock(rows, m, snap))
 		blas.SetAsmEnabled(prev)
 	}
-	before := float32Stripes()
+	before := stripes[T]()
 	three.assignBlock(rows[:4*d], 4, snap)
-	if n := float32Stripes() - before; n != 1 {
+	if n := stripes[T]() - before; n != 1 {
 		t.Fatalf("a 4×%d×%d flush at 3 threads ran %v row stripes, want 1", k, d, n)
 	}
 }
 
-// float32Stripes reads the float32 children of
-// knor_blas_gemm_dispatch_total, which count Dgemm row stripes.
-func float32Stripes() float64 {
+// stripes reads the children of knor_blas_gemm_dispatch_total at T's
+// width (asm32 and go32, or asm64 and go64), which count row stripes.
+func stripes[T blas.Float]() float64 {
+	width := fmt.Sprint(8 * blas.ElemBytes[T]())
 	var n float64
 	for _, fam := range telemetry.Default.Snapshot() {
 		if fam.Name != "knor_blas_gemm_dispatch_total" {
 			continue
 		}
 		for _, sm := range fam.Samples {
-			if sm.Labels[0] == "asm32" || sm.Labels[0] == "go32" {
+			if sm.Labels[0] == "asm"+width || sm.Labels[0] == "go"+width {
 				n += sm.Value
 			}
 		}
@@ -250,10 +303,16 @@ func float32Stripes() float64 {
 	return n
 }
 
-// TestAssignPanelFollowsSnapshot checks the panel cache: one batcher
-// answering two models in turn, and a model across a republish, must
-// answer every flush from the snapshot it names.
+// TestAssignPanelFollowsSnapshot checks the panel cache at both
+// precisions: one batcher answering two models in turn, and a model
+// across a republish, must answer every flush from the snapshot it
+// names.
 func TestAssignPanelFollowsSnapshot(t *testing.T) {
+	t.Run("float64", testPanelFollowsSnapshot[float64])
+	t.Run("float32", testPanelFollowsSnapshot[float32])
+}
+
+func testPanelFollowsSnapshot[T blas.Float](t *testing.T) {
 	const m, d = 5, 8
 	reg := NewRegistry(1)
 	rng := rand.New(rand.NewSource(61))
@@ -268,33 +327,38 @@ func TestAssignPanelFollowsSnapshot(t *testing.T) {
 		}
 		return snap
 	}
-	rows := make([]float64, m*d)
+	rows := make([]T, m*d)
 	for i := range rows {
-		rows[i] = rng.NormFloat64()
+		rows[i] = T(rng.NormFloat64())
 	}
 	a1, b1 := publish("a", 40), publish("b", 9)
 	a2 := publish("a", 40)
-	b := &BatcherOf[float64]{opts: BatcherOptions{}.withDefaults()}
+	b := &BatcherOf[T]{opts: BatcherOptions{}.withDefaults()}
 	for i, snap := range []*Model{a1, b1, a1, a2, b1, a2} {
 		checkSameAnswers(t, fmt.Sprintf("flush %d (%s v%d)", i, snap.Name, snap.Version),
-			b.assignBlock(rows, m, snap), b.assignGemm(rows, m, snap))
+			b.assignBlock(rows, m, snap), gemmScanAssign(rows, m, snap))
 	}
 }
 
-// BenchmarkAssignBlock times one flush's distance computation at the
-// benchmark workloads' request shapes, single-threaded: d16 (4 rows,
-// k=100, d=16), d32 (64 rows, k=1000, d=32) and one of the d32
-// cluster's two shards (64 rows, k=500). k10000d64 (64 rows, k=10000,
-// d=64) is a model whose 5 MB panel outgrows L2, where the block-free
-// path loses to Dgemm + scan (EXPERIMENTS.md §Block-free float64
-// flush).
+// BenchmarkAssignBlock times one flush's distance computation at both
+// precisions at the benchmark workloads' request shapes,
+// single-threaded: d16 (4 rows, k=100, d=16), d32 (64 rows, k=1000,
+// d=32) and one of the d32 cluster's two shards (64 rows, k=500).
+// k10000d64 (64 rows, k=10000, d=64) is a model whose 5 MB float64
+// panel outgrows L2, which the flush walks in column blocks
+// (EXPERIMENTS.md §Block-free float64 flush).
 func BenchmarkAssignBlock(b *testing.B) {
+	b.Run("float64", benchAssignBlock[float64])
+	b.Run("float32", benchAssignBlock[float32])
+}
+
+func benchAssignBlock[T blas.Float](b *testing.B) {
 	for _, s := range []struct {
 		name    string
 		m, k, d int
 	}{{"d16", 4, 100, 16}, {"d32", 64, 1000, 32}, {"d32shard", 64, 500, 32}, {"k10000d64", 64, 10000, 64}} {
 		b.Run(s.name, func(b *testing.B) {
-			bat, snap, rows := blockFixture[float64](b, s.m, s.k, s.d)
+			bat, snap, rows := blockFixture[T](b, s.m, s.k, s.d)
 			b.ReportAllocs()
 			for b.Loop() {
 				bat.assignBlock(rows, s.m, snap)

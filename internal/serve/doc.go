@@ -13,7 +13,9 @@
 //     clamp of cancellation noise on the final answer, and latency in
 //     knor_serve_request_seconds, the source of /metrics and of
 //     knorserve's /v1/stats quantiles. Below it, concurrent requests
-//     coalesce into one raw ‖v‖²+‖c‖²−2·V·Cᵀ flush through blas.
+//     coalesce into one raw ‖v‖²+‖c‖²−2·V·Cᵀ flush, which
+//     blas.NearestRows answers at either precision against a cached
+//     centroid panel, without materialising the m×k distances.
 //   - StreamEngine — the updater. Incoming observations fold into a
 //     kmeans.MiniBatchState with per-centroid learning rates, forever;
 //     explicit state makes checkpoint/resume exact.
