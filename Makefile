@@ -49,7 +49,8 @@ test-noasm:
 
 # 10 s coverage-guided runs of the fuzz targets (mirrors CI; `go test`
 # alone only replays their seeds): the /v1/assign body decoder against
-# encoding/json, the netcluster frame codec, the SIMD GEMM and
+# encoding/json, the netcluster frame codec, the worker's shard-push,
+# assign-request and assign-reply decoders, the SIMD GEMM and
 # row-distance kernels against the pure-Go loops, and the block-free
 # flush at both precisions against Dgemm + scan. Minimizing a new input may take
 # 60 s by default, which stalls a 10 s run on a large seed (the d32
@@ -59,6 +60,7 @@ FUZZ = -run '^$$' -fuzztime 10s -fuzzminimizetime 100x
 fuzz-smoke:
 	$(GO) test $(FUZZ) -fuzz '^FuzzAssignBody$$' ./cmd/knorserve
 	$(GO) test $(FUZZ) -fuzz '^FuzzReadFrame$$' ./internal/netcluster
+	$(GO) test $(FUZZ) -fuzz '^FuzzPeerPayloads$$' ./internal/shardserve
 	$(GO) test $(FUZZ) -fuzz '^FuzzDgemmAsmParity$$' ./internal/blas
 	$(GO) test $(FUZZ) -fuzz '^FuzzSqDistRowsParity$$' ./internal/blas
 	$(GO) test $(FUZZ) -fuzz '^FuzzNearestRowsParity$$' ./internal/blas

@@ -7,37 +7,75 @@ package main
 // flush at both widths by the block-free path and by Dgemm + scan.
 // With -json the measurements also land in a machine-readable file
 // (the bench-kernels Makefile target writes BENCH_kernels.json),
-// including the float32 asm/go speedup on the acceptance shape.
+// including the float32 asm/go speedup on the acceptance shape. Every
+// cell is timed kernelReps times and reported as its median with the
+// first and third quartiles, so a regeneration shows its own noise.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
+	"time"
 
 	"knor/internal/blas"
 	"knor/internal/matrix"
 	"knor/internal/workload"
 )
 
+// kernelReps is how many timed reps each cell takes after one warmup.
+const kernelReps = 5
+
+// quartiles is one cell's spread over its reps.
+type quartiles struct{ q1, med, q3 float64 }
+
+// timeQuartiles warms f up once, then times kernelReps runs of it and
+// returns the quartiles of rate(seconds) over the runs.
+func timeQuartiles(f func(), rate func(sec float64) float64) quartiles {
+	f()
+	xs := make([]float64, kernelReps)
+	for i := range xs {
+		start := time.Now()
+		f()
+		xs[i] = rate(time.Since(start).Seconds())
+	}
+	sort.Float64s(xs)
+	n := len(xs)
+	return quartiles{q1: xs[n/4], med: xs[n/2], q3: xs[3*n/4]}
+}
+
+// String prints the median with its quartiles: median [q1–q3].
+func (q quartiles) String() string {
+	return fmt.Sprintf("%.2f [%.2f–%.2f]", q.med, q.q1, q.q3)
+}
+
 // kernelResult is one GEMM measurement in the JSON report.
 type kernelResult struct {
-	Dtype  string  `json:"dtype"`  // float32 | float64
-	Kernel string  `json:"kernel"` // go | avx2fma | neon
-	M      int     `json:"m"`
-	D      int     `json:"d"`
-	K      int     `json:"k"`
-	GFLOPS float64 `json:"gflops"`
+	Dtype    string  `json:"dtype"`  // float32 | float64
+	Kernel   string  `json:"kernel"` // go | avx2fma | neon
+	M        int     `json:"m"`
+	D        int     `json:"d"`
+	K        int     `json:"k"`
+	GFLOPS   float64 `json:"gflops"` // median over the reps
+	GFLOPSQ1 float64 `json:"gflops_q1"`
+	GFLOPSQ3 float64 `json:"gflops_q3"`
+}
+
+func newKernelResult(dtype, kernel string, m, d, k int, q quartiles) kernelResult {
+	return kernelResult{Dtype: dtype, Kernel: kernel, M: m, D: d, K: k, GFLOPS: q.med, GFLOPSQ1: q.q1, GFLOPSQ3: q.q3}
 }
 
 // distRowsResult is one SqDistRows measurement in the JSON report: a
 // row's exact squared distances to k centroids, as training's dense
 // scans compute them, in ns per distance.
 type distRowsResult struct {
-	Kernel    string  `json:"kernel"` // go | avx2fma | neon
-	D         int     `json:"d"`
-	K         int     `json:"k"`
-	NsPerDist float64 `json:"ns_per_dist"`
+	Kernel      string  `json:"kernel"` // go | avx2fma | neon
+	D           int     `json:"d"`
+	K           int     `json:"k"`
+	NsPerDist   float64 `json:"ns_per_dist"` // median over the reps
+	NsPerDistQ1 float64 `json:"ns_per_dist_q1"`
+	NsPerDistQ3 float64 `json:"ns_per_dist_q3"`
 }
 
 // nearestResult is one serving flush in the JSON report: m query rows
@@ -45,13 +83,15 @@ type distRowsResult struct {
 // (blas.NearestRows over a prebuilt panel, "panel") or by Dgemm into a
 // zeroed m×k block and a scan ("gemm"), in µs per flush.
 type nearestResult struct {
-	Dtype      string  `json:"dtype"`  // float32 | float64
-	Path       string  `json:"path"`   // panel | gemm
-	Kernel     string  `json:"kernel"` // go | avx2fma | neon
-	M          int     `json:"m"`
-	K          int     `json:"k"`
-	D          int     `json:"d"`
-	UsPerFlush float64 `json:"us_per_flush"`
+	Dtype        string  `json:"dtype"`  // float32 | float64
+	Path         string  `json:"path"`   // panel | gemm
+	Kernel       string  `json:"kernel"` // go | avx2fma | neon
+	M            int     `json:"m"`
+	K            int     `json:"k"`
+	D            int     `json:"d"`
+	UsPerFlush   float64 `json:"us_per_flush"` // median over the reps
+	UsPerFlushQ1 float64 `json:"us_per_flush_q1"`
+	UsPerFlushQ3 float64 `json:"us_per_flush_q3"`
 }
 
 // kernelsReport is the BENCH_kernels.json schema.
@@ -60,8 +100,12 @@ type kernelsReport struct {
 	// was built with -tags noasm or on an unsupported CPU).
 	Kernel  string `json:"kernel"`
 	Threads int    `json:"threads"`
-	// SpeedupF32 is asm/go GFLOP/s on the acceptance shape (1M-row
-	// PairwiseSqDist-shaped GEMM, d=16, k=100); 1.0 without assembly.
+	// Reps is how many timed reps each cell's median and quartiles
+	// come from.
+	Reps int `json:"reps"`
+	// SpeedupF32 is asm/go median GFLOP/s on the acceptance shape
+	// (1M-row PairwiseSqDist-shaped GEMM, d=16, k=100); 1.0 without
+	// assembly.
 	SpeedupF32 float64          `json:"speedup_f32"`
 	Gemm       []kernelResult   `json:"gemm"`
 	DistRows   []distRowsResult `json:"dist_rows"`
@@ -99,16 +143,14 @@ var nearestShapes = []struct{ m, k, d int }{
 
 func kernelsExp(e env) {
 	threads := runtime.GOMAXPROCS(0)
-	reps := 3
 	shapes := gemmShapes
 	if e.quick {
-		reps = 1
 		shapes = append([]struct{ m, d, k int }{}, shapes...)
 		for i := range shapes {
 			shapes[i].m /= 10
 		}
 	}
-	report := kernelsReport{Kernel: blas.KernelName(), Threads: threads}
+	report := kernelsReport{Kernel: blas.KernelName(), Threads: threads, Reps: kernelReps}
 	fmt.Printf("  kernel flavour: %s (asm supported: %v), %d threads\n",
 		blas.KernelName(), blas.AsmSupported(), threads)
 
@@ -122,8 +164,9 @@ func kernelsExp(e env) {
 		out64 := make([]float64, sh.m*sh.k)
 		out32 := make([]float32, sh.m*sh.k)
 		flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.d)
+		gflops := func(sec float64) float64 { return flops / sec / 1e9 }
 
-		perKernel := map[string][2]float64{} // kernel -> {gf32, gf64}
+		perKernel := map[string][2]float64{} // kernel -> median {gf32, gf64}
 		for _, asm := range []bool{true, false} {
 			if asm && !blas.AsmSupported() {
 				continue
@@ -133,18 +176,16 @@ func kernelsExp(e env) {
 			if !asm {
 				name = "go"
 			}
-			t32 := timeReps(reps, func() { blas.Dgemm[float32](-2, a32, sh.m, sh.d, c32, sh.k, 0, out32, threads) })
-			t64 := timeReps(reps, func() { blas.Dgemm[float64](-2, a64, sh.m, sh.d, c64, sh.k, 0, out64, threads) })
+			gf32 := timeQuartiles(func() { blas.Dgemm[float32](-2, a32, sh.m, sh.d, c32, sh.k, 0, out32, threads) }, gflops)
+			gf64 := timeQuartiles(func() { blas.Dgemm[float64](-2, a64, sh.m, sh.d, c64, sh.k, 0, out64, threads) }, gflops)
 			blas.SetAsmEnabled(prev)
-			gf32, gf64 := flops/t32/1e9, flops/t64/1e9
-			perKernel[name] = [2]float64{gf32, gf64}
+			perKernel[name] = [2]float64{gf32.med, gf64.med}
 			report.Gemm = append(report.Gemm,
-				kernelResult{Dtype: "float32", Kernel: name, M: sh.m, D: sh.d, K: sh.k, GFLOPS: gf32},
-				kernelResult{Dtype: "float64", Kernel: name, M: sh.m, D: sh.d, K: sh.k, GFLOPS: gf64},
+				newKernelResult("float32", name, sh.m, sh.d, sh.k, gf32),
+				newKernelResult("float64", name, sh.m, sh.d, sh.k, gf64),
 			)
 			rows = append(rows, []string{
-				fmt.Sprintf("%dx%d k=%d", sh.m, sh.d, sh.k), name,
-				fmt.Sprintf("%.2f", gf32), fmt.Sprintf("%.2f", gf64),
+				fmt.Sprintf("%dx%d k=%d", sh.m, sh.d, sh.k), name, gf32.String(), gf64.String(),
 			})
 		}
 		if sh == shapes[0] {
@@ -181,15 +222,16 @@ func kernelsExp(e env) {
 			if !asm {
 				name = "go"
 			}
-			t := timeReps(reps, func() {
+			ns := timeQuartiles(func() {
 				for i := 0; i < n; i++ {
 					blas.SqDistRows(data[i*sh.d:(i+1)*sh.d], cents, sh.k, out)
 				}
-			})
+			}, func(sec float64) float64 { return sec * 1e9 / float64(n*sh.k) })
 			blas.SetAsmEnabled(prev)
-			ns := t * 1e9 / float64(n*sh.k)
-			report.DistRows = append(report.DistRows, distRowsResult{Kernel: name, D: sh.d, K: sh.k, NsPerDist: ns})
-			rows = append(rows, []string{fmt.Sprintf("%d rows x%d k=%d", n, sh.d, sh.k), name, fmt.Sprintf("%.2f", ns)})
+			report.DistRows = append(report.DistRows, distRowsResult{
+				Kernel: name, D: sh.d, K: sh.k, NsPerDist: ns.med, NsPerDistQ1: ns.q1, NsPerDistQ3: ns.q3,
+			})
+			rows = append(rows, []string{fmt.Sprintf("%d rows x%d k=%d", n, sh.d, sh.k), name, ns.String()})
 		}
 	}
 	printTable([]string{"SqDistRows", "kernel", "ns/dist"}, rows)
@@ -209,7 +251,7 @@ func kernelsExp(e env) {
 			nearestFlushes(matrix.Convert[float32](all), sh.m, sh.k, sh.d, iters)...) {
 			report.Nearest = append(report.Nearest, r)
 			rows = append(rows, []string{fmt.Sprintf("%dx%d k=%d", sh.m, sh.d, sh.k), r.Dtype, r.Path, r.Kernel,
-				fmt.Sprintf("%.1f", r.UsPerFlush)})
+				quartiles{q1: r.UsPerFlushQ1, med: r.UsPerFlush, q3: r.UsPerFlushQ3}.String()})
 		}
 	}
 	printTable([]string{"flush", "dtype", "path", "kernel", "µs/flush"}, rows)
@@ -231,7 +273,7 @@ func kernelsExp(e env) {
 
 // nearestFlushes times one serving flush of the first m rows of all
 // against the next k, at all's element type, by both paths with the
-// assembly kernels on (when supported) and off, iters flushes each.
+// assembly kernels on (when supported) and off, iters flushes per rep.
 func nearestFlushes[T blas.Float](all *matrix.Mat[T], m, k, d, iters int) []nearestResult {
 	a, cents := all.Data[:m*d], all.Data[m*d:(m+k)*d]
 	normsSq := make([]T, k)
@@ -273,8 +315,15 @@ func nearestFlushes[T blas.Float](all *matrix.Mat[T], m, k, d, iters int) []near
 			{"panel", func() { blas.NearestRows(a, m, &panel, normsSq, best, idx, 1) }},
 			{"gemm", gemmScan},
 		} {
-			us := timeReps(iters, path.flush) * 1e6
-			out = append(out, nearestResult{Dtype: dtype, Path: path.name, Kernel: name, M: m, K: k, D: d, UsPerFlush: us})
+			us := timeQuartiles(func() {
+				for i := 0; i < iters; i++ {
+					path.flush()
+				}
+			}, func(sec float64) float64 { return sec * 1e6 / float64(iters) })
+			out = append(out, nearestResult{
+				Dtype: dtype, Path: path.name, Kernel: name, M: m, K: k, D: d,
+				UsPerFlush: us.med, UsPerFlushQ1: us.q1, UsPerFlushQ3: us.q3,
+			})
 		}
 		blas.SetAsmEnabled(prev)
 	}

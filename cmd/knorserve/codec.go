@@ -27,7 +27,8 @@ import (
 // A number must pass the JSON grammar and is then parsed by
 // strconv.ParseFloat, as encoding/json parses it. A null coordinate is
 // rejected, and so is a row whose squared norm overflows, since its
-// distances could not be encoded into the reply.
+// distances could not be encoded into the reply. Decoding stops at the
+// first row or coordinate past maxRows or maxCoords.
 
 // maxDepth is encoding/json's nesting limit.
 const maxDepth = 10000
@@ -36,9 +37,22 @@ const maxDepth = 10000
 // body does not stay pinned in the pool.
 const maxPooled = 1 << 20
 
+// maxCoords and maxRows bound a decoded body to what one cluster frame
+// carries each way: the fan-out sends every coordinate to a shard as 8
+// bytes, and the shard answers every row with 16. 64 KiB of the frame
+// is left for the shard key and the trace extension. A body under
+// maxBodyBytes can still decode past them (a 2-byte "0," is an 8-byte
+// coordinate), so the parser counts as it goes and answers 413 on both
+// deployments.
+const (
+	maxCoords = (netcluster.MaxFrameBytes - 64<<10) / 8
+	maxRows   = (netcluster.MaxFrameBytes - 64<<10) / 16
+)
+
 var (
 	errNullCoordinate = errors.New("null coordinate")
 	errNormOverflow   = errors.New("squared norm is not finite")
+	errTooLarge       = fmt.Errorf("more than %d rows or %d coordinates", maxRows, maxCoords)
 
 	nameModel = []byte("model")
 	nameRows  = []byte("rows")
@@ -76,10 +90,10 @@ func readRows(w http.ResponseWriter, r *http.Request) (*rowsReq, bool) {
 }
 
 // bodyStatus is the status for a body that failed to read or decode:
-// 413 past maxBodyBytes, 400 otherwise.
+// 413 past maxBodyBytes, maxRows or maxCoords, 400 otherwise.
 func bodyStatus(err error) int {
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	if errors.As(err, &tooLarge) || errors.Is(err, errTooLarge) {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
@@ -220,6 +234,9 @@ func (p *parser) rows() error {
 		return nil
 	}
 	for {
+		if m.RowsN == maxRows {
+			return errTooLarge
+		}
 		start := len(m.Data)
 		var err error
 		switch p.ws() {
@@ -260,6 +277,9 @@ func (p *parser) row() error {
 		return nil
 	}
 	for col := 0; ; col++ {
+		if len(m.Data) == maxCoords {
+			return errTooLarge
+		}
 		switch c := p.ws(); {
 		case c == '-' || '0' <= c && c <= '9':
 			lit, err := p.number()

@@ -444,3 +444,34 @@ func TestBodyCapped(t *testing.T) {
 		t.Fatalf("assign after the capped bodies: %d %v", code, body)
 	}
 }
+
+// TestBodyShapeCapped checks that a body under maxBodyBytes still stops
+// at one cluster frame's worth of rows or coordinates: /v1/assign and
+// /v1/observe answer 413 on a body one coordinate past maxCoords (rows
+// of [0,0,0,0], the last one [0]) or one row past maxRows (empty rows),
+// on a single node and on a sharded server, and the next request
+// answers 200.
+func TestBodyShapeCapped(t *testing.T) {
+	bodies := map[string]string{
+		"coordinate": `{"model":"ok","rows":[` + strings.Repeat("[0,0,0,0],", maxCoords/4) + "[0]]}",
+		"row":        `{"model":"ok","rows":[` + strings.Repeat("[],", maxRows) + "[]]}",
+	}
+	for _, opts := range []serverOptions{{}, {machines: 2}} {
+		_, ts := newTestServer(t, opts)
+		if code, body := postJSON(t, ts.URL+"/v1/models",
+			`{"name":"ok","k":2,"spec":{"n":100,"d":4,"clusters":2,"seed":1}}`); code != http.StatusCreated {
+			t.Fatalf("machines=%d create: %d %v", opts.machines, code, body)
+		}
+		for _, path := range []string{"/v1/assign", "/v1/observe"} {
+			for past, body := range bodies {
+				if code, reply := postJSON(t, ts.URL+path, body); code != http.StatusRequestEntityTooLarge {
+					t.Fatalf("machines=%d POST %s one %s past the cap: code %d (%.200v), want 413",
+						opts.machines, path, past, code, reply)
+				}
+			}
+		}
+		if code, body := postJSON(t, ts.URL+"/v1/assign", `{"model":"ok","rows":[[0,0,0,0]]}`); code != http.StatusOK {
+			t.Fatalf("machines=%d assign after the capped bodies: %d %v", opts.machines, code, body)
+		}
+	}
+}

@@ -132,11 +132,18 @@ func (t *TCPTransport) Send(to int, f *Frame) error {
 	if to == t.rank || to < 0 || to >= t.size {
 		return fmt.Errorf("netcluster: send to invalid rank %d (self %d of %d)", to, t.rank, t.size)
 	}
+	// A frame the codec refuses fails here, before a byte is written:
+	// it is the caller's error, so the link neither counts a peer error
+	// nor records a failure.
+	buf, err := EncodeFrame(make([]byte, 0, headerBytes+len(f.Payload)), f)
+	if err != nil {
+		return fmt.Errorf("netcluster: send to rank %d: %w", to, err)
+	}
 	p := t.peers[to]
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	p.conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-	if _, err := WriteFrame(p.conn, f); err != nil {
+	if _, err := writeEncoded(p.conn, buf, f.Type); err != nil {
 		telPeerErrors.Inc()
 		p.fail(err)
 		return fmt.Errorf("netcluster: send to rank %d: %w", to, err)

@@ -1,6 +1,7 @@
 package netcluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -257,5 +258,28 @@ func TestTCPSelfSendRejected(t *testing.T) {
 	}
 	if _, err := ts[1].Recv(7); err == nil {
 		t.Fatal("out-of-range recv should fail")
+	}
+}
+
+// TestTCPOversizedSendKeepsLink: a frame the codec refuses fails its
+// Send before a byte is written, so it is neither a peer error nor a
+// link failure: the counter stays put and the link delivers the next
+// frame.
+func TestTCPOversizedSendKeepsLink(t *testing.T) {
+	ts := tcpCluster(t, 2, "oversized")
+	before := telPeerErrors.Load()
+	err := ts[0].Send(1, &Frame{Type: FrameAccum, Elem: 8, Payload: make([]byte, MaxFrameBytes+1)})
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized send: %v, want ErrFrameTooLarge", err)
+	}
+	if got := telPeerErrors.Load(); got != before {
+		t.Fatalf("oversized send counted %d peer errors", got-before)
+	}
+	if err := ts[0].Send(1, &Frame{Type: FramePulse, Seq: 7}); err != nil {
+		t.Fatalf("send after the oversized frame: %v", err)
+	}
+	f, err := ts[1].Recv(0)
+	if err != nil || f.Type != FramePulse || f.Seq != 7 {
+		t.Fatalf("recv after the oversized frame: %+v, %v", f, err)
 	}
 }

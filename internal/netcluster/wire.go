@@ -364,12 +364,18 @@ func WriteFrame(w io.Writer, f *Frame) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return writeEncoded(w, buf, f.Type)
+}
+
+// writeEncoded writes one frame of type typ that EncodeFrame produced
+// and counts it.
+func writeEncoded(w io.Writer, buf []byte, typ byte) (int, error) {
 	n, err := w.Write(buf)
 	if err != nil {
 		return n, err
 	}
 	telBytesTx.Add(uint64(n))
-	telFrames.With(frameTypeName(f.Type)).Inc()
+	telFrames.With(frameTypeName(typ)).Inc()
 	return n, nil
 }
 

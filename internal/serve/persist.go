@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -20,24 +17,18 @@ import (
 // a temp file + rename so a crash mid-save never corrupts the previous
 // state file.
 //
-// Elem == 4 models keep their 4-byte payload on disk too: the float32
-// data rides as base64 little-endian (data32), half the state-file
-// payload bytes and, via RestoreOf[float32], bit-exactly the published
-// payload after a reload. Files written before the elem field existed
-// load as float64 (elem 0 ⇒ 8).
+// Centroids are saved at float64, the one width a Model stores. A file
+// an older binary wrote for a float32 publish (elem 4, base64 data32,
+// no data) fails to load with an error naming the model.
 
 // persistedModel is one model's latest snapshot on disk.
 type persistedModel struct {
-	Name    string `json:"name"`
-	Version int    `json:"version"`
-	Node    int    `json:"node"`
-	Rows    int    `json:"rows"`
-	Cols    int    `json:"cols"`
-	// Elem is the payload element width: 8 (or 0, pre-elem files) means
-	// Data carries float64; 4 means Data32 carries base64 float32.
-	Elem   int       `json:"elem,omitempty"`
-	Data   []float64 `json:"data,omitempty"`   // row-major centroids, rows×cols
-	Data32 string    `json:"data32,omitempty"` // base64 of little-endian float32, rows×cols
+	Name    string    `json:"name"`
+	Version int       `json:"version"`
+	Node    int       `json:"node"`
+	Rows    int       `json:"rows"`
+	Cols    int       `json:"cols"`
+	Data    []float64 `json:"data,omitempty"` // row-major centroids, rows×cols
 }
 
 // persistedStream is one model's stream-updater checkpoint on disk:
@@ -63,31 +54,6 @@ type persistedRegistry struct {
 	Streams []persistedStream `json:"streams,omitempty"`
 }
 
-// encodeF32 packs a float32 slice as base64 little-endian bytes.
-func encodeF32(data []float32) string {
-	buf := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-	}
-	return base64.StdEncoding.EncodeToString(buf)
-}
-
-// decodeF32 is encodeF32's inverse; n is the expected element count.
-func decodeF32(s string, n int) ([]float32, error) {
-	buf, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, err
-	}
-	if len(buf) != 4*n {
-		return nil, fmt.Errorf("payload is %d bytes, want %d", len(buf), 4*n)
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-	}
-	return out, nil
-}
-
 // SaveRegistry writes the latest snapshot of every model to path,
 // atomically (temp file + rename).
 func SaveRegistry(r *Registry, path string) error {
@@ -103,16 +69,10 @@ func SaveRegistry(r *Registry, path string) error {
 func SaveState(r *Registry, streams []StreamCheckpoint, path string) error {
 	var pf persistedRegistry
 	for _, m := range r.List() {
-		pm := persistedModel{
+		pf.Models = append(pf.Models, persistedModel{
 			Name: m.Name, Version: m.Version, Node: m.Node,
-			Rows: m.K(), Cols: m.Dims(), Elem: m.Elem,
-		}
-		if p32 := m.Payload32(); p32 != nil {
-			pm.Data32 = encodeF32(p32.Data)
-		} else {
-			pm.Data = m.Centroids.Data
-		}
-		pf.Models = append(pf.Models, pm)
+			Rows: m.K(), Cols: m.Dims(), Data: m.Centroids.Data,
+		})
 	}
 	for _, cp := range streams {
 		if cp.Centroids == nil {
@@ -150,10 +110,10 @@ func SaveState(r *Registry, streams []StreamCheckpoint, path string) error {
 }
 
 // LoadRegistry rebuilds a registry from a state file written by
-// SaveRegistry: every model comes back at its saved version, node pin
-// and element width, so clients observing versions across a restart
-// never see them go backwards and 4-byte models stay 4-byte. Returns
-// (nil, nil) when the file does not exist — a first boot, not an error.
+// SaveRegistry: every model comes back at its saved version and node
+// pin, so clients observing versions across a restart never see them go
+// backwards. Returns (nil, nil) when the file does not exist — a first
+// boot, not an error.
 func LoadRegistry(path string, nodes int) (*Registry, error) {
 	r, _, err := LoadState(path, nodes)
 	return r, err
@@ -180,17 +140,6 @@ func LoadState(path string, nodes int) (*Registry, []StreamCheckpoint, error) {
 		if pm.Rows <= 0 || pm.Cols <= 0 {
 			return nil, nil, fmt.Errorf("serve: registry state %s: model %q claims %dx%d",
 				path, pm.Name, pm.Rows, pm.Cols)
-		}
-		if pm.Elem == 4 {
-			data, err := decodeF32(pm.Data32, pm.Rows*pm.Cols)
-			if err != nil {
-				return nil, nil, fmt.Errorf("serve: registry state %s: model %q: %w", path, pm.Name, err)
-			}
-			c := &matrix.Mat[float32]{RowsN: pm.Rows, ColsN: pm.Cols, Data: data}
-			if _, err := RestoreOf(r, pm.Name, pm.Version, pm.Node, c); err != nil {
-				return nil, nil, fmt.Errorf("serve: registry state %s: %w", path, err)
-			}
-			continue
 		}
 		if pm.Rows*pm.Cols != len(pm.Data) {
 			return nil, nil, fmt.Errorf("serve: registry state %s: model %q claims %dx%d but has %d values",

@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"knor/internal/matrix"
@@ -86,19 +86,28 @@ func TestLoadRegistryMissingFile(t *testing.T) {
 }
 
 func TestLoadRegistryCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "registry.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadRegistry(path, 2); err == nil {
-		t.Error("corrupt state file loaded without error")
-	}
-	if err := os.WriteFile(path, []byte(`{"models":[{"name":"x","version":1,"rows":2,"cols":2,"data":[1]}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadRegistry(path, 2); err == nil {
-		t.Error("shape-mismatched state file loaded without error")
+	path := filepath.Join(t.TempDir(), "registry.json")
+	for _, c := range []struct {
+		name, body string
+		model      string // quoted model name the error must carry, if any
+	}{
+		{"not json", "{not json", ""},
+		{"shape mismatch", `{"models":[{"name":"x","version":1,"rows":2,"cols":2,"data":[1]}]}`, `"x"`},
+		// A float32 publish as an older binary saved it: base64 float32
+		// in data32 and no data. That format is gone, so the file must
+		// not load as a zero-filled model.
+		{"float32 publish", `{"models":[{"name":"f32","version":3,"node":1,"rows":2,"cols":2,"elem":4,"data32":"AACAPwAAAEAAAEBAAACAQA=="}]}`, `"f32"`},
+		{"truncated float32 publish", `{"models":[{"name":"f32","version":1,"rows":2,"cols":2,"elem":4,"data32":"AAAA"}]}`, `"f32"`},
+	} {
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadRegistry(path, 2)
+		if err == nil {
+			t.Errorf("%s: state file loaded without error", c.name)
+		} else if !strings.Contains(err.Error(), c.model) {
+			t.Errorf("%s: error %q does not name model %s", c.name, err, c.model)
+		}
 	}
 }
 
@@ -132,83 +141,6 @@ func TestRegistryRestore(t *testing.T) {
 	}
 	if p.Version != 6 {
 		t.Errorf("publish after restore: version %d, want 6", p.Version)
-	}
-}
-
-// TestPersistElem4RoundTrip: a float32-published model keeps its
-// 4-byte payload on disk (base64 data32, no float64 data array) and
-// reloads with Elem, version and payload bits intact.
-func TestPersistElem4RoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "registry.json")
-
-	r := NewRegistry(2)
-	c := matrix.New[float32](4, 3)
-	for i := range c.Data {
-		c.Data[i] = float32(i)*0.125 + 0.3
-	}
-	if _, err := PublishOf(r, "f32", c); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Publish("f64", testCentroids(4, 3, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveRegistry(r, path); err != nil {
-		t.Fatal(err)
-	}
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pf persistedRegistry
-	if err := json.Unmarshal(raw, &pf); err != nil {
-		t.Fatal(err)
-	}
-	for _, pm := range pf.Models {
-		switch pm.Name {
-		case "f32":
-			if pm.Elem != 4 || pm.Data32 == "" || pm.Data != nil {
-				t.Fatalf("f32 persisted as elem=%d data32=%q data=%v", pm.Elem, pm.Data32, pm.Data)
-			}
-		case "f64":
-			if pm.Elem != 8 || pm.Data32 != "" || len(pm.Data) != 12 {
-				t.Fatalf("f64 persisted as elem=%d data32=%q len(data)=%d", pm.Elem, pm.Data32, len(pm.Data))
-			}
-		}
-	}
-
-	got, err := LoadRegistry(path, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, ok := got.Get("f32")
-	if !ok {
-		t.Fatal("f32 model lost in round trip")
-	}
-	if m.Elem != 4 {
-		t.Fatalf("reloaded elem %d, want 4", m.Elem)
-	}
-	p32 := m.Payload32()
-	if p32 == nil {
-		t.Fatal("reloaded elem=4 model has no float32 payload")
-	}
-	for i := range c.Data {
-		if math.Float32bits(p32.Data[i]) != math.Float32bits(c.Data[i]) {
-			t.Fatalf("payload bit %d: %v vs %v", i, p32.Data[i], c.Data[i])
-		}
-	}
-	if m64, _ := got.Get("f64"); m64.Elem != 8 || m64.Payload32() != nil {
-		t.Fatal("f64 model grew a float32 payload in round trip")
-	}
-
-	// Truncated data32 payload is a load error, not a panic.
-	bad := []byte(`{"models":[{"name":"x","version":1,"rows":2,"cols":2,"elem":4,"data32":"AAAA"}]}`)
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadRegistry(path, 2); err == nil {
-		t.Error("truncated float32 payload loaded without error")
 	}
 }
 

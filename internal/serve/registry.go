@@ -11,9 +11,12 @@ import (
 	"knor/internal/telemetry"
 )
 
-// Model is one immutable published snapshot of a centroid set. The
-// Centroids matrix and NormsSq slice must be treated as read-only by
-// every consumer; the Registry guarantees no writer retains them.
+// Model is one immutable published snapshot of a centroid set. Its
+// centroids are stored at float64 only, the width the registry keeps,
+// persists and spreads to shards; float32 serving reads a mirror built
+// once per snapshot (centroidsOf). The Centroids matrix and NormsSq
+// slice must be treated as read-only by every consumer; the Registry
+// guarantees no writer retains them.
 type Model struct {
 	Name    string
 	Version int // 1-based, monotonically increasing per name
@@ -30,13 +33,6 @@ type Model struct {
 	// versions. It is surfaced by the serving API and kept in the
 	// snapshot format; nothing in the serving path reads it.
 	Node int
-	// Elem is the canonical element width of the published payload: 8
-	// for float64 publishes (Centroids is the source of truth), 4 for
-	// float32 publishes via PublishOf/RestoreOf (the float32 mirror is
-	// canonical and Centroids is an eagerly widened compatibility view).
-	// Persistence and the shard-spread wire honour Elem so 4-byte models
-	// move at half the bytes end to end.
-	Elem int
 
 	// c32/n32 mirror Centroids/NormsSq at float32 for the Precision32
 	// assign path, built lazily on first float32 access (mirrorOnce) so
@@ -53,22 +49,6 @@ func (m *Model) K() int { return m.Centroids.Rows() }
 
 // Dims returns the centroid dimensionality.
 func (m *Model) Dims() int { return m.Centroids.Cols() }
-
-// Bytes returns the size of the canonical centroid payload — what a
-// snapshot save or a shard re-spread actually moves (4-byte elements
-// for float32-published models, 8-byte for float64).
-func (m *Model) Bytes() int { return m.K() * m.Dims() * m.Elem }
-
-// Payload32 returns the canonical float32 payload for Elem == 4 models
-// (nil otherwise): the exact bits the trainer published, which the
-// persistence and shard-spread paths carry instead of the widened
-// Centroids view.
-func (m *Model) Payload32() *matrix.Mat[float32] {
-	if m.Elem != 4 {
-		return nil
-	}
-	return m.c32
-}
 
 // centroidsOf returns the model's centroids and cached ‖c‖² at the
 // requested element type, building the float32 mirror on first use.
@@ -149,24 +129,10 @@ func (r *Registry) SetRetention(p Retention) {
 	}
 }
 
-// newModelOf builds the immutable snapshot for a publish at element
-// type T. A float64 publish stores the clone canonically (Elem 8, the
-// float32 mirror stays lazy). A float32 publish keeps the 4-byte clone
-// as the canonical payload (Elem 4, mirror pre-built with the published
-// bits) and eagerly widens a float64 Centroids view so every
-// precision-independent consumer — K/Dims, JSON listings, float64
-// batchers, the shard splitter — keeps working unchanged.
-func newModelOf[T blas.Float](name string, centroids *matrix.Mat[T]) *Model {
-	cl := centroids.Clone()
-	m := &Model{Name: name, PublishedAt: time.Now(), Elem: blas.ElemBytes[T]()}
-	if c32, ok := any(cl).(*matrix.Mat[float32]); ok {
-		n32 := make([]float32, c32.Rows())
-		blas.RowNormsSq(c32.Data, c32.Rows(), c32.Cols(), n32)
-		m.mirrorOnce.Do(func() { m.c32, m.n32 = c32, n32 })
-		m.Centroids = matrix.Convert[float64](c32)
-	} else {
-		m.Centroids = any(cl).(*matrix.Dense)
-	}
+// newModel builds the immutable snapshot for a publish: a clone of the
+// centroids and their norms. The float32 mirror stays lazy.
+func newModel(name string, centroids *matrix.Dense) *Model {
+	m := &Model{Name: name, PublishedAt: time.Now(), Centroids: centroids.Clone()}
 	m.NormsSq = make([]float64, m.Centroids.Rows())
 	blas.RowNormsSq(m.Centroids.Data, m.Centroids.Rows(), m.Centroids.Cols(), m.NormsSq)
 	return m
@@ -216,21 +182,13 @@ func (r *Registry) add(m *Model, version, node int) (*Model, error) {
 // shard never migrates mid-flight. Publishing also applies retention to
 // the model's history.
 func (r *Registry) Publish(name string, centroids *matrix.Dense) (*Model, error) {
-	return PublishOf(r, name, centroids)
-}
-
-// PublishOf is Publish at an explicit element type: a float32 publish
-// keeps the 4-byte payload canonical (Model.Elem == 4) so snapshots and
-// shard re-spreads move half the bytes; a float64 publish is exactly
-// Publish.
-func PublishOf[T blas.Float](r *Registry, name string, centroids *matrix.Mat[T]) (*Model, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: empty model name")
 	}
 	if centroids == nil || centroids.Rows() == 0 || centroids.Cols() == 0 {
 		return nil, fmt.Errorf("serve: model %q published with no centroids", name)
 	}
-	return r.add(newModelOf(name, centroids), 0, 0)
+	return r.add(newModel(name, centroids), 0, 0)
 }
 
 // OnPublish registers fn to run after every successful Publish or
@@ -252,13 +210,6 @@ func (r *Registry) OnPublish(fn func(*Model)) {
 // stale restores are rejected so a mirror replaying a mix of history
 // and live publishes converges on the newest snapshot.
 func (r *Registry) Restore(name string, version, node int, centroids *matrix.Dense) (*Model, error) {
-	return RestoreOf(r, name, version, node, centroids)
-}
-
-// RestoreOf is Restore at an explicit element type, preserving 4-byte
-// payloads through snapshot reloads and shard mirrors the same way
-// PublishOf does through publishes.
-func RestoreOf[T blas.Float](r *Registry, name string, version, node int, centroids *matrix.Mat[T]) (*Model, error) {
 	if name == "" {
 		return nil, fmt.Errorf("serve: empty model name")
 	}
@@ -268,7 +219,7 @@ func RestoreOf[T blas.Float](r *Registry, name string, version, node int, centro
 	if centroids == nil || centroids.Rows() == 0 || centroids.Cols() == 0 {
 		return nil, fmt.Errorf("serve: model %q restored with no centroids", name)
 	}
-	return r.add(newModelOf(name, centroids), version, node)
+	return r.add(newModel(name, centroids), version, node)
 }
 
 // evictLocked applies the retention policy to one model's history:

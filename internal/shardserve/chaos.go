@@ -52,9 +52,10 @@ type ChaosConfig struct {
 	Rounds      int
 	BatchRows   int
 	FinalRounds int
-	// Precision selects the element type of both the oracle and the
-	// sharded path. Publishes go through PublishOf at that element
-	// width, so float32 runs move 4-byte shard payloads end to end.
+	// Precision selects the element type of both the oracle's and the
+	// sharded path's batchers. Centroids are published as float64 at
+	// either precision, as knorserve publishes them, so a float32 run
+	// serves lazily built mirrors of float64 shard copies.
 	Precision kmeans.Precision
 	// Seed drives the kill schedule, centroids, queries, republishes.
 	Seed int64
@@ -146,7 +147,8 @@ type ChaosStats struct {
 	Versions int
 	// SpreadBytes is the registry's count of centroid payload bytes
 	// copied into machine registries over the run (publishes + healing
-	// re-spreads) — float32 runs move half the bytes of float64 ones.
+	// re-spreads). Shard copies are float64 at either precision, so the
+	// same schedule moves the same bytes at both.
 	SpreadBytes uint64
 	Elapsed     time.Duration
 }
@@ -251,17 +253,16 @@ func runChaosOf[T blas.Float](cfg ChaosConfig) (ChaosStats, error) {
 		opts.Topology = topo
 	}
 	sr := NewShardRegistryWith(opts)
-	if _, err := PublishOf(sr, "chaos", matrix.Convert[T](cents)); err != nil {
+	if _, err := sr.Publish("chaos", cents); err != nil {
 		return stats, err
 	}
 	asn := NewAssignerOf[T](sr, serve.BatcherOptions{})
 	defer asn.Close()
 
 	// The oracle: a single-node batcher over the same snapshots,
-	// published in lockstep (same element width) so versions and payload
-	// bits line up.
+	// published in lockstep so versions and centroid bits line up.
 	oreg := serve.NewRegistry(1)
-	if _, err := serve.PublishOf(oreg, "chaos", matrix.Convert[T](cents)); err != nil {
+	if _, err := oreg.Publish("chaos", cents); err != nil {
 		return stats, err
 	}
 	oracle := serve.NewBatcherOf[T](oreg, serve.BatcherOptions{})
@@ -333,10 +334,10 @@ func runChaosOf[T blas.Float](cfg ChaosConfig) (ChaosStats, error) {
 		}
 		if cfg.PublishEvery > 0 && r > 0 && r%cfg.PublishEvery == 0 {
 			cents = chaosCentroids(cfg.K, cfg.D, rng)
-			if _, err := PublishOf(sr, "chaos", matrix.Convert[T](cents)); err != nil {
+			if _, err := sr.Publish("chaos", cents); err != nil {
 				return stats, err
 			}
-			if _, err := serve.PublishOf(oreg, "chaos", matrix.Convert[T](cents)); err != nil {
+			if _, err := oreg.Publish("chaos", cents); err != nil {
 				return stats, err
 			}
 			version++

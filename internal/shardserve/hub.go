@@ -229,9 +229,9 @@ func (h *Hub) FetchMetrics(m int) ([]telemetry.SnapshotFamily, error) {
 // RestoreRemote implements Remote: push one shard snapshot to machine
 // m's process (fire and forget — the peer installs it in arrival
 // order, and the fan-out's version check catches any lag).
-func (h *Hub) RestoreRemote(m int, key string, version, node int, elem byte, krows, d int, payload []byte) error {
+func (h *Hub) RestoreRemote(m int, key string, version, node, krows, d int, payload []byte) error {
 	return h.tr.Send(m, &netcluster.Frame{
-		Type: netcluster.FrameShard, Elem: elem,
+		Type: netcluster.FrameShard, Elem: 8,
 		Payload: encodeShard(key, version, node, krows, d, payload),
 	})
 }

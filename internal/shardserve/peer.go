@@ -173,33 +173,25 @@ func (r *spanRec) ext(req *netcluster.TraceExt) *netcluster.TraceExt {
 }
 
 // peerInstall restores one pushed shard snapshot into the peer's local
-// registry at the pushed element width — the payload bits go straight
-// into the registry, so a remote replica holds exactly the bytes the
-// coordinator's local registries hold.
+// registry — the float64 payload bits go straight into the registry, so
+// a remote replica holds exactly the bytes the coordinator's local
+// registries hold.
 func peerInstall(reg *serve.Registry, f *netcluster.Frame) error {
+	if err := netcluster.CheckElem(f, 8); err != nil {
+		return err
+	}
 	key, version, node, krows, d, rest, err := decodeShard(f.Payload)
 	if err != nil {
 		return err
 	}
-	if krows <= 0 || d <= 0 {
-		return fmt.Errorf("shard %q claims %dx%d", key, krows, d)
+	if err := checkShape(krows, d, 8, rest); err != nil {
+		return fmt.Errorf("shard %q: %w", key, err)
 	}
-	switch f.Elem {
-	case 4:
-		c := matrix.New[float32](krows, d)
-		if _, err := netcluster.FloatsAt(rest, 0, krows*d, c.Data); err != nil {
-			return err
-		}
-		_, err = serve.RestoreOf(reg, key, version, node, c)
-	case 8:
-		c := matrix.New[float64](krows, d)
-		if _, err := netcluster.FloatsAt(rest, 0, krows*d, c.Data); err != nil {
-			return err
-		}
-		_, err = reg.Restore(key, version, node, c)
-	default:
-		return fmt.Errorf("shard %q has element width %d", key, f.Elem)
+	c := matrix.New[float64](krows, d)
+	if _, err := netcluster.FloatsAt(rest, 0, krows*d, c.Data); err != nil {
+		return err
 	}
+	_, err = reg.Restore(key, version, node, c)
 	// A version that is not newer than what we hold is a rebalance
 	// replaying a push we already have — not an error.
 	if err != nil && version > 0 {
@@ -219,8 +211,6 @@ func peerAnswer(bat32 *serve.BatcherOf[float32], bat64 *serve.BatcherOf[float64]
 	switch {
 	case err != nil:
 		return nil, err
-	case nrows <= 0 || d <= 0:
-		return nil, fmt.Errorf("assign request claims %dx%d rows", nrows, d)
 	case f.Elem == 4:
 		return peerAssign(bat32, key, nrows, d, rows, decStart, rec)
 	case f.Elem == 8:
@@ -233,6 +223,9 @@ func peerAnswer(bat32 *serve.BatcherOf[float32], bat64 *serve.BatcherOf[float64]
 // answers them through b's raw entry: the coordinator's edge clamps
 // after the cross-shard min.
 func peerAssign[T blas.Float](b *serve.BatcherOf[T], key string, nrows, d int, payload []byte, decStart time.Time, rec *spanRec) ([]serve.Assignment, error) {
+	if err := checkShape(nrows, d, blas.ElemBytes[T](), payload); err != nil {
+		return nil, fmt.Errorf("assign request: %w", err)
+	}
 	q := matrix.New[T](nrows, d)
 	if _, err := netcluster.FloatsAt(payload, 0, nrows*d, q.Data); err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"knor/internal/blas"
 	"knor/internal/dist"
 	"knor/internal/matrix"
 	"knor/internal/netcluster"
@@ -54,7 +53,8 @@ type ShardRegistry struct {
 	// machine registries by publishes, mirrors and healing re-spreads —
 	// the simulated network cost of moving shard data. Restores skipped
 	// because a machine already holds the shard at that version don't
-	// count; 4-byte (float32) models move half the bytes of 8-byte ones.
+	// count. Shard copies are float64 at every serving precision, so a
+	// copied centroid always counts 8 bytes per coordinate.
 	spreadBytes atomic.Uint64
 	// rebalances counts finished healing re-spreads, one per membership
 	// transition the topology delivered.
@@ -82,44 +82,13 @@ type split struct {
 	replicas [][]int
 }
 
-// canonModel is the retained canonical copy of one model. Exactly one
-// of c64/c32 is set, per elem (8 or 4): a float32-published model keeps
-// its 4-byte payload canonical end to end, so every shard restore —
-// publish, mirror or healing re-spread — moves half the bytes and the
-// shard batchers serve the publisher's float32 bits unconverted.
+// canonModel is the retained canonical copy of one model: the float64
+// centroids every shard copy, publish, mirror or healing re-spread, is
+// cut from.
 type canonModel struct {
 	version int
 	node    int
-	elem    int           // payload element width: 8 or 4
-	c64     *matrix.Dense // immutable (cloned at publish / snapshot at mirror)
-	c32     *matrix.Mat[float32]
-}
-
-func (cm canonModel) rows() int {
-	if cm.elem == 4 {
-		return cm.c32.Rows()
-	}
-	return cm.c64.Rows()
-}
-
-func (cm canonModel) cols() int {
-	if cm.elem == 4 {
-		return cm.c32.Cols()
-	}
-	return cm.c64.Cols()
-}
-
-// canonOf wraps a centroid matrix (already safe to retain) as a
-// canonical copy at the given version.
-func canonOf[T blas.Float](version, node int, centroids *matrix.Mat[T]) canonModel {
-	cm := canonModel{version: version, node: node, elem: blas.ElemBytes[T]()}
-	switch c := any(centroids).(type) {
-	case *matrix.Mat[float32]:
-		cm.c32 = c
-	case *matrix.Dense:
-		cm.c64 = c
-	}
-	return cm
+	c       *matrix.Dense // immutable (cloned at publish / snapshot at mirror)
 }
 
 // Options configure a ShardRegistry.
@@ -281,14 +250,6 @@ func (sr *ShardRegistry) Split(name string) (version int, offsets []int, ok bool
 // the named model. The machine registries clone their slices
 // (copy-on-write), so the caller keeps ownership of centroids.
 func (sr *ShardRegistry) Publish(name string, centroids *matrix.Dense) (version int, err error) {
-	return PublishOf(sr, name, centroids)
-}
-
-// PublishOf is Publish for either element width: float32 centroids
-// stay 4-byte on the wire — every shard restore and healing re-spread
-// moves the float32 payload, and the shard batchers serve those bits
-// unconverted (bit-compatible with the single-node float32 path).
-func PublishOf[T blas.Float](sr *ShardRegistry, name string, centroids *matrix.Mat[T]) (version int, err error) {
 	if centroids == nil || centroids.Rows() == 0 || centroids.Cols() == 0 {
 		return 0, fmt.Errorf("shardserve: model %q published with no centroids", name)
 	}
@@ -301,7 +262,7 @@ func PublishOf[T blas.Float](sr *ShardRegistry, name string, centroids *matrix.M
 	} else {
 		v = 1
 	}
-	if err := sr.restoreLocked(name, canonOf(v, 0, cl)); err != nil {
+	if err := sr.restoreLocked(name, canonModel{version: v, c: cl}); err != nil {
 		return 0, err
 	}
 	return v, nil
@@ -351,10 +312,7 @@ func (sr *ShardRegistry) mirror(m *serve.Model) {
 	if sp, ok := sr.splits[m.Name]; ok && sp.version >= m.Version {
 		return
 	}
-	cm := canonModel{version: m.Version, node: m.Node, elem: 8, c64: m.Centroids}
-	if p32 := m.Payload32(); p32 != nil {
-		cm = canonModel{version: m.Version, node: m.Node, elem: 4, c32: p32}
-	}
+	cm := canonModel{version: m.Version, node: m.Node, c: m.Centroids}
 	if err := sr.restoreLocked(m.Name, cm); err != nil {
 		// Dims changed without a version going backwards can only be a
 		// primary-registry invariant violation; surface loudly.
@@ -382,14 +340,14 @@ func (sr *ShardRegistry) livePlacementLocked() []int {
 // restoreLocked splits the canonical copy, restores shard s into its
 // placed machines' registries at cm's version, drops copies that fell
 // out of the placement, and updates the plan table. cm's payload must
-// be safe to retain (cloned by PublishOf, immutable from mirror).
+// be safe to retain (cloned by Publish, immutable from mirror).
 // Caller holds sr.mu.
 func (sr *ShardRegistry) restoreLocked(name string, cm canonModel) error {
-	if old, ok := sr.canon[name]; ok && old.cols() != cm.cols() {
+	if old, ok := sr.canon[name]; ok && old.c.Cols() != cm.c.Cols() {
 		return fmt.Errorf("shardserve: model %q dims changed %d -> %d",
-			name, old.cols(), cm.cols())
+			name, old.c.Cols(), cm.c.Cols())
 	}
-	k, d := cm.rows(), cm.cols()
+	k, d := cm.c.Rows(), cm.c.Cols()
 	shards := sr.machines
 	if k < shards {
 		shards = k
@@ -406,14 +364,7 @@ func (sr *ShardRegistry) restoreLocked(name string, cm canonModel) error {
 			if cur, ok := sr.regs[m].Get(key); ok && cur.Version >= cm.version {
 				continue // already holds this shard at this version (rebalance path)
 			}
-			var err error
-			if cm.elem == 4 {
-				view := &matrix.Mat[float32]{RowsN: p.Rows(), ColsN: d, Data: cm.c32.Data[p.Lo*d : p.Hi*d]}
-				_, err = serve.RestoreOf(sr.regs[m], key, cm.version, cm.node, view)
-			} else {
-				_, err = sr.regs[m].Restore(key, cm.version, cm.node, p.View(cm.c64))
-			}
-			if err != nil {
+			if _, err := sr.regs[m].Restore(key, cm.version, cm.node, p.View(cm.c)); err != nil {
 				return err
 			}
 			// Cluster mode: machine m is a peer process — push the shard
@@ -422,17 +373,12 @@ func (sr *ShardRegistry) restoreLocked(name string, cm canonModel) error {
 			// rebalance re-pushes from); a push to a dead peer fails
 			// non-fatally, since healing is exactly what routes around it.
 			if sr.remote != nil && !sr.remote.LocalMachine(m) {
-				var payload []byte
-				if cm.elem == 4 {
-					payload = netcluster.AppendFloats(nil, cm.c32.Data[p.Lo*d:p.Hi*d])
-				} else {
-					payload = netcluster.AppendFloats(nil, cm.c64.Data[p.Lo*d:p.Hi*d])
-				}
-				if perr := sr.remote.RestoreRemote(m, key, cm.version, cm.node, byte(cm.elem), p.Rows(), d, payload); perr != nil {
+				payload := netcluster.AppendFloats(nil, cm.c.Data[p.Lo*d:p.Hi*d])
+				if perr := sr.remote.RestoreRemote(m, key, cm.version, cm.node, p.Rows(), d, payload); perr != nil {
 					telPushErrors.Inc()
 				}
 			}
-			moved := uint64(p.Rows() * d * cm.elem)
+			moved := uint64(p.Rows() * d * 8)
 			sr.spreadBytes.Add(moved)
 			telSpreadBytes.Add(moved)
 		}

@@ -34,8 +34,9 @@ type Remote interface {
 	// remote wall times). A nil tr costs nothing.
 	AssignRemote(m int, key string, elem byte, nrows, d int, rows []byte, tr *telemetry.Trace) ([]serve.Assignment, error)
 	// RestoreRemote installs one shard of a model's centroids on
-	// machine m's process at the given version.
-	RestoreRemote(m int, key string, version, node int, elem byte, krows, d int, payload []byte) error
+	// machine m's process at the given version; payload is krows×d
+	// float64 values encoded with AppendFloats.
+	RestoreRemote(m int, key string, version, node, krows, d int, payload []byte) error
 	// DropRemote retires a shard copy from machine m's process.
 	DropRemote(m int, key string) error
 }
@@ -56,7 +57,7 @@ func encodeShard(key string, version, node, krows, d int, payload []byte) []byte
 }
 
 // decodeShard unpacks a FrameShard payload; rest is the raw float
-// payload (krows×d values at the frame's element width).
+// payload (krows×d float64 values).
 func decodeShard(b []byte) (key string, version, node, krows, d int, rest []byte, err error) {
 	key, off, err := netcluster.StringAt(b, 0)
 	if err != nil {
@@ -69,6 +70,18 @@ func decodeShard(b []byte) (key string, version, node, krows, d int, rest []byte
 		}
 	}
 	return key, int(vs[0]), int(vs[1]), int(vs[2]), int(vs[3]), b[off+16:], nil
+}
+
+// checkShape fails unless rows×cols values of elem bytes each fit in
+// payload, so a frame's claimed shape is checked before anything is
+// allocated for it. Dividing instead of multiplying keeps a hostile
+// 2^32×2^32 claim from overflowing.
+func checkShape(rows, cols, elem int, payload []byte) error {
+	if rows <= 0 || cols <= 0 || rows > len(payload)/elem/cols {
+		return fmt.Errorf("%w: claims %dx%d values of %d bytes in %d bytes",
+			netcluster.ErrShortPayload, rows, cols, elem, len(payload))
+	}
+	return nil
 }
 
 // encodeAssignReq builds a FrameAssignReq payload.
@@ -130,6 +143,11 @@ func decodeAssignResp(b []byte) ([]serve.Assignment, error) {
 	n, err := netcluster.Uint32At(b, 4)
 	if err != nil {
 		return nil, err
+	}
+	// Each assignment takes 16 bytes: check the claimed count before
+	// allocating for it.
+	if int64(n) > int64(len(b)-8)/16 {
+		return nil, fmt.Errorf("%w: %d assignments in %d bytes", netcluster.ErrShortPayload, n, len(b))
 	}
 	out := make([]serve.Assignment, n)
 	off := 8
