@@ -88,6 +88,7 @@ type Engine struct {
 	rc      *RowCache // nil when disabled
 
 	tasks     []semTask
+	window    int // read-ahead window, rows (file backend)
 	iter      int
 	converged bool
 	perIter   []kmeans.IterStats
@@ -167,6 +168,7 @@ func newEngine(src RowSource, data *matrix.Dense, cfg Config) (*Engine, error) {
 	} else {
 		rows := &cursorRows{cur: e.untrackedCursor(), n: n, d: d}
 		e.cents = kmeans.InitCentroidsFromRows(rows, cfg.Kmeans)
+		rows.cur.Release()
 		if rows.err != nil {
 			return nil, fmt.Errorf("sem: init: %w", rows.err)
 		}
@@ -187,6 +189,7 @@ func newEngine(src RowSource, data *matrix.Dense, cfg Config) (*Engine, error) {
 	// FlashGraph partitions the matrix across threads; tasks are
 	// contiguous blocks statically owned by partition threads.
 	T := cfg.Kmeans.Threads
+	e.window = max(1, cfg.PageCacheBytes/readAheadShare/T/src.RowBytes())
 	ts := cfg.Kmeans.TaskSize
 	for lo := 0; lo < n; lo += ts {
 		hi := lo + ts
@@ -354,6 +357,14 @@ func (e *Engine) Step() error {
 	return nil
 }
 
+// readAheadShare sizes the file backend's read-ahead windows: one
+// window of every compute thread together fills 1/readAheadShare of the
+// page cache. A task's row-cache misses go to the prefetch pool one
+// window at a time, two windows ahead of its row loop, so the pages
+// fetched and not yet read stay under three quarters of the cache and
+// the LRU evicts pages already read before pages still to be read.
+const readAheadShare = 4
+
 // computePass runs the real parallel assignment pass. Tasks are
 // processed by their statically owning partition worker, in task
 // order — FlashGraph's ownership model, and the property that makes
@@ -364,7 +375,8 @@ func (e *Engine) Step() error {
 // cursor: free on the simulated backend (the matrix is resident),
 // real page-cache reads on the file backend, where rows pinned by the
 // row cache are served from memory and the remaining misses are
-// prefetched ahead of the row loop so page fetches overlap compute.
+// prefetched a window at a time ahead of the row loop, so page fetches
+// overlap compute inside the cache.
 // Each task records its active rows and row-cache misses for the
 // deterministic accounting pass.
 func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
@@ -378,6 +390,8 @@ func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 		go func(w int) {
 			defer wg.Done()
 			cur := e.cursor()
+			defer cur.Release()
+			var hints []int32 // the task's row-cache misses, for read-ahead
 			o := &outs[w]
 			dist := make([]float64, e.k)
 			delta := e.deltas[w]
@@ -392,10 +406,9 @@ func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 				task := &e.tasks[ti]
 				task.active = task.active[:0]
 				task.miss = task.miss[:0]
+				hints = hints[:0]
+				ahead := task.hi // the row whose window starts the next hint
 				if real {
-					// Hint the task's row-cache misses to the prefetch
-					// pool before computing, so their pages stream in
-					// while earlier rows are processed.
 					for i := task.lo; i < task.hi; i++ {
 						if iter > 0 && !e.ps.NeedsRow(i) {
 							continue
@@ -403,14 +416,27 @@ func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 						if e.rc != nil && !refresh && e.rc.Peek(int32(i)) {
 							continue
 						}
-						task.miss = append(task.miss, int32(i))
+						hints = append(hints, int32(i))
 					}
-					e.src.Prefetch(task.miss)
-					task.miss = task.miss[:0]
+					ahead = task.lo
 				}
+				hinted := 0 // hints[:hinted] went to the prefetch pool
 				before := o.Ctr
 				changedBefore := o.Changed
 				for i := task.lo; i < task.hi; i++ {
+					if i == ahead {
+						// Entering a window: hint the misses up to the
+						// end of the window two ahead, so their pages
+						// stream in while this window is computed.
+						end := int32(min(i+3*e.window, task.hi))
+						j := hinted
+						for j < len(hints) && hints[j] < end {
+							j++
+						}
+						e.src.Prefetch(hints[hinted:j])
+						hinted = j
+						ahead += e.window
+					}
 					if iter > 0 && !e.ps.NeedsRow(i) {
 						o.Ctr.C1++
 						continue
@@ -517,6 +543,7 @@ func (e *Engine) fillRowCache() error {
 	var cur RowCursor
 	if e.src.Real() {
 		cur = e.untrackedCursor()
+		defer cur.Release()
 	}
 	for ti := range e.tasks {
 		for _, r := range e.tasks[ti].active {
@@ -579,6 +606,7 @@ func (e *Engine) result() (*kmeans.Result, error) {
 // backend, accumulating in the same order as kmeans.SSEOf.
 func (e *Engine) sseStream() (float64, error) {
 	cur := e.untrackedCursor()
+	defer cur.Release()
 	var sse float64
 	for i := 0; i < e.n; i++ {
 		row, err := cur.Row(i)

@@ -15,6 +15,9 @@ import (
 type RowSource interface {
 	Rows() int
 	Cols() int
+	// RowBytes is the stored size of one row; it sizes the file
+	// backend's read-ahead windows.
+	RowBytes() int
 	// Cursor returns an independent row reader for one worker
 	// goroutine. The slice returned by Row is valid until the next Row
 	// call on the same cursor.
@@ -43,6 +46,9 @@ type RowSource interface {
 // RowCursor yields rows for one worker. Not safe for concurrent use.
 type RowCursor interface {
 	Row(i int) ([]float64, error)
+	// Release lets go of what the cursor holds between rows (the file
+	// backend's pinned pages). The cursor stays usable.
+	Release()
 }
 
 // --- simulated backend -------------------------------------------------
@@ -56,8 +62,9 @@ type simSource struct {
 	scratch []int // replay is single-threaded; reused across tasks
 }
 
-func (s *simSource) Rows() int { return s.data.Rows() }
-func (s *simSource) Cols() int { return s.data.Cols() }
+func (s *simSource) Rows() int     { return s.data.Rows() }
+func (s *simSource) Cols() int     { return s.data.Cols() }
+func (s *simSource) RowBytes() int { return s.data.Cols() * 8 }
 
 func (s *simSource) Cursor() RowCursor          { return memCursor{s.data} }
 func (s *simSource) UntrackedCursor() RowCursor { return memCursor{s.data} }
@@ -79,6 +86,7 @@ func (s *simSource) Real() bool                { return false }
 type memCursor struct{ d *matrix.Dense }
 
 func (c memCursor) Row(i int) ([]float64, error) { return c.d.Row(i), nil }
+func (c memCursor) Release()                     {}
 
 // --- real file backend -------------------------------------------------
 
@@ -86,8 +94,9 @@ func (c memCursor) Row(i int) ([]float64, error) { return c.d.Row(i), nil }
 // cache and prefetch pool.
 type fileSource struct{ f *store.File }
 
-func (s fileSource) Rows() int { return s.f.Rows() }
-func (s fileSource) Cols() int { return s.f.Cols() }
+func (s fileSource) Rows() int     { return s.f.Rows() }
+func (s fileSource) Cols() int     { return s.f.Cols() }
+func (s fileSource) RowBytes() int { return s.f.RowBytes() }
 
 func (s fileSource) Cursor() RowCursor { return s.f.Reader() }
 
@@ -127,6 +136,8 @@ func (c *normCursor) Row(i int) ([]float64, error) {
 	}
 	return c.buf, nil
 }
+
+func (c *normCursor) Release() { c.inner.Release() }
 
 // cursorRows adapts a RowCursor to kmeans.RowData for streaming
 // centroid initialisation. Cursor errors are latched (initialisation

@@ -1,9 +1,12 @@
 package shardserve
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,6 +38,13 @@ type serveCluster struct {
 // wires the serving roles: the caller gets the coordinator's primary
 // registry (publish into it) and shard registry.
 func startServeCluster(t *testing.T, m, replicas int) *serveCluster {
+	t.Helper()
+	return startServeClusterWith(t, m, replicas, nil)
+}
+
+// startServeClusterWith is startServeCluster with every worker's
+// transport passed through wrap first (nil serves them unwrapped).
+func startServeClusterWith(t *testing.T, m, replicas int, wrap func(netcluster.Transport) netcluster.Transport) *serveCluster {
 	t.Helper()
 	ln, err := netcluster.ListenLoopback()
 	if err != nil {
@@ -73,7 +83,11 @@ func startServeCluster(t *testing.T, m, replicas int) *serveCluster {
 		c.peers.Add(1)
 		go func(r int) {
 			defer c.peers.Done()
-			if err := ServePeer(c.ts[r], PeerOptions{
+			var tr netcluster.Transport = c.ts[r]
+			if wrap != nil {
+				tr = wrap(tr)
+			}
+			if err := ServePeer(tr, PeerOptions{
 				Batcher:    serve.BatcherOptions{Threads: 1},
 				PulseEvery: 50 * time.Millisecond,
 			}); err != nil {
@@ -197,6 +211,61 @@ func TestClusterRepublish(t *testing.T) {
 	if got[0].Version != 2 {
 		t.Fatalf("expected version 2 answers, got %d", got[0].Version)
 	}
+}
+
+// refuseFirstReply is a worker transport whose first assign reply fails
+// to send as a reply over MaxFrameBytes does: a codec error, with the
+// link left up.
+type refuseFirstReply struct {
+	netcluster.Transport
+	refused atomic.Bool
+}
+
+func (r *refuseFirstReply) Send(to int, f *netcluster.Frame) error {
+	if f.Type == netcluster.FrameAssignResp && r.refused.CompareAndSwap(false, true) {
+		return fmt.Errorf("netcluster: send to rank %d: %w: %d bytes", to, netcluster.ErrFrameTooLarge, netcluster.MaxFrameBytes+1)
+	}
+	return r.Transport.Send(to, f)
+}
+
+// TestPeerAnswersUnsendableReply: a reply the worker cannot send is
+// answered with its error under the same sequence number, so the
+// coordinator's assign fails over (here, with one replica, fails) well
+// inside the RPC timeout instead of waiting it out, and the next assign
+// is answered over the same link.
+func TestPeerAnswersUnsendableReply(t *testing.T) {
+	c := startServeClusterWith(t, 2, 1, func(tr netcluster.Transport) netcluster.Transport {
+		return &refuseFirstReply{Transport: tr}
+	})
+	cents, queries := parityCase(8, 5, 16, 7)
+	if _, err := c.reg.Publish("m", cents); err != nil {
+		t.Fatal(err)
+	}
+	assigner := NewAssignerOf[float64](c.sr, serve.BatcherOptions{})
+	defer assigner.Close()
+	start := time.Now()
+	_, err := assigner.AssignBatch("m", queries)
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("assign answered although its only remote replica's reply was refused")
+	}
+	if !errors.Is(err, ErrShardUnavailable) || !strings.Contains(err.Error(), netcluster.ErrFrameTooLarge.Error()) {
+		t.Fatalf("assign error %q, want the shard unavailable with the worker's codec error", err)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("assign failed after %v; the RPC timeout is 5s, the reply's error should arrive at once", elapsed)
+	}
+	oracle := serve.NewBatcherOf[float64](c.reg, serve.BatcherOptions{})
+	defer oracle.Close()
+	want, err := oracle.AssignBatch("m", queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := assigner.AssignBatch("m", queries)
+	if err != nil {
+		t.Fatalf("assign after the refused reply: %v", err)
+	}
+	requireAnswerParity[float64](t, want, got, "after a refused reply")
 }
 
 // TestClusterPulseLiveness: worker heartbeats keep peers live, and an

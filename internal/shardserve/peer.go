@@ -1,6 +1,7 @@
 package shardserve
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -112,9 +113,17 @@ func ServePeer(tr netcluster.Transport, opts PeerOptions) error {
 					Payload: payload,
 					Trace:   rec.ext(f.Trace),
 				}
-				// A send failure means the coordinator is gone; the recv
-				// loop notices on its next Recv.
-				_ = tr.Send(0, resp)
+				// A reply the codec refuses (over MaxFrameBytes) is
+				// answered with its error under the same Seq, so the
+				// coordinator fails over now instead of at its RPC
+				// timeout. Any other send failure means the coordinator
+				// is gone; the recv loop notices on its next Recv.
+				if err := tr.Send(0, resp); errors.Is(err, netcluster.ErrFrameTooLarge) {
+					_ = tr.Send(0, &netcluster.Frame{
+						Type: netcluster.FrameAssignResp, Seq: f.Seq,
+						Payload: encodeAssignResp(nil, err),
+					})
+				}
 			}(f)
 		case netcluster.FrameMetrics:
 			// Metrics federation pull: answer with this process's registry

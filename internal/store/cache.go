@@ -1,8 +1,8 @@
 package store
 
 import (
-	"container/list"
 	"sync"
+	"sync/atomic"
 )
 
 // pageCache is a sharded LRU cache of payload pages with per-page
@@ -11,38 +11,62 @@ import (
 // waits on the owner's flight instead of issuing a duplicate ReadAt.
 // Sharding keeps lock hold times short under many workers; the
 // flight/insert protocol never holds a shard lock across device I/O.
+//
+// Page buffers are a fixed budget. A demand reader pins every page it
+// uses, the in-flight pages it joins included, and releases it when it
+// moves on. The LRU evicts pinned and unpinned pages alike, so the
+// resident count never exceeds the capacity. An unpinned victim's
+// buffer goes on its shard's free list at once, a pinned victim's when
+// its last pin is released, and the shard's next miss reuses it: once
+// the cache is full, a streaming pass allocates no page memory.
+//
+// A demand hit moves a page to the front of the LRU, except the first
+// hit on a page the prefetch pool fetched. Read-ahead inserts pages in
+// the order the reader will use them; if each use moved its page to the
+// front, pages already read would be more recent than pages prefetched
+// before them and still to be read, and the LRU would evict the latter
+// first. A prefetch moves the resident pages of its whole range to the
+// front (touch) before it fetches any, so that its fetches evict pages
+// outside the range, not the range's own pages.
 type pageCache struct {
-	shards []cacheShard
+	pageSize     int
+	shards       []cacheShard
+	hits, misses atomic.Uint64
 }
 
 type cacheShard struct {
-	mu      sync.Mutex
-	cap     int // pages
-	ll      *list.List
-	items   map[int64]*list.Element
-	flights map[int64]*flight
-	hits    uint64
-	misses  uint64
-	peak    int // high-water resident pages
+	mu    sync.Mutex
+	cap   int             // resident pages
+	pages map[int64]*page // resident pages and pages in flight
+	lru   page            // list sentinel: lru.next is the most recent page
+	n     int             // resident pages
+	peak  int             // high-water resident pages
+	free  []*page         // recycled buffers, at most cap
 }
 
-type cacheEntry struct {
-	page int64
-	data []byte
-	// prefetched marks a page inserted by the prefetch pool and not yet
-	// touched by a demand read; the first demand hit counts it as a used
-	// prefetch and clears the mark.
-	prefetched bool
+// page is one page buffer and, while its fetch is in flight, the
+// flight its joiners wait on. The shard lock guards every field but
+// data, err and done. Only the fetching owner writes data, before done
+// is released; a pinned page is never recycled, so a reader holding a
+// pin may read data without the lock.
+type page struct {
+	id         int64
+	data       []byte
+	pins       int32 // demand readers holding the page
+	fetching   bool  // an owner is reading it; done not yet released
+	resident   bool  // in the LRU
+	prefetched bool  // fetched by the prefetch pool, no demand read used yet
+	prev, next *page
+	done       sync.WaitGroup // released when the fetch completes
+	err        error          // a failed fetch's error, for its joiners
 }
 
-// flight is one in-progress page fetch. done is closed after data/err
-// are set; data is immutable afterwards.
-type flight struct {
-	done     chan struct{}
-	data     []byte
-	err      error
-	prefetch bool // owned by the prefetch pool
-}
+// How acquire resolved a page.
+const (
+	pageHit    = iota // resident, or in flight for a prefetch probe
+	pageJoined        // in flight: a demand reader waits on done
+	pageOwned         // missing: the caller fetches it, then publishes or fails it
+)
 
 func newPageCache(capacityBytes, pageSize, shards int) *pageCache {
 	if shards < 1 {
@@ -52,18 +76,16 @@ func newPageCache(capacityBytes, pageSize, shards int) *pageCache {
 	if capPages < shards {
 		capPages = shards // at least one page per shard
 	}
-	c := &pageCache{shards: make([]cacheShard, shards)}
+	c := &pageCache{pageSize: pageSize, shards: make([]cacheShard, shards)}
 	per := capPages / shards
 	if per < 1 {
 		per = 1
 	}
 	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			cap:     per,
-			ll:      list.New(),
-			items:   make(map[int64]*list.Element),
-			flights: make(map[int64]*flight),
-		}
+		s := &c.shards[i]
+		s.cap = per
+		s.pages = make(map[int64]*page)
+		s.lru.next, s.lru.prev = &s.lru, &s.lru
 	}
 	return c
 }
@@ -72,94 +94,164 @@ func (c *pageCache) shard(p int64) *cacheShard {
 	return &c.shards[int(uint64(p)%uint64(len(c.shards)))]
 }
 
-// acquire resolves one page: on a cache hit it returns the data; on a
-// miss it returns the flight to wait on, with owned reporting whether
-// the caller must perform the fetch and complete the flight (publish
-// or fail). record=false skips hit/miss accounting (prefetch probes).
-func (c *pageCache) acquire(p int64, record bool) (data []byte, fl *flight, owned bool) {
+// acquire resolves page p. A demand reader gets the page pinned on a
+// hit or a join and counts a hit, or owns the fetch, pinned too, and
+// counts a miss. A prefetch probe pins, counts and moves nothing and
+// gets a page only when it owns the fetch.
+func (c *pageCache) acquire(p int64, demand bool) (*page, int) {
 	s := c.shard(p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[p]; ok {
-		s.ll.MoveToFront(el)
-		ent := el.Value.(cacheEntry)
-		if record {
-			s.hits++
-			telPageHits.Inc()
-			if ent.prefetched {
-				telPrefetchUsed.Inc()
-				ent.prefetched = false
-				el.Value = ent
-			}
+	if pg := s.pages[p]; pg != nil {
+		if !demand {
+			return nil, pageHit
 		}
-		return ent.data, nil, false
-	}
-	if fl, ok := s.flights[p]; ok {
-		// Another reader is already fetching: joining costs no device
-		// I/O, so it counts as a hit (the overlap the prefetch pipeline
-		// exists to create).
-		if record {
-			s.hits++
-			telPageHits.Inc()
-			if fl.prefetch {
-				telPrefetchUsed.Inc()
-				fl.prefetch = false
-			}
+		pg.pins++
+		// Joining a fetch in flight costs no device I/O, so it counts as
+		// a hit (the overlap the prefetch pipeline exists to create).
+		c.hit(1)
+		if pg.prefetched {
+			telPrefetchUsed.Inc()
+			pg.prefetched = false
+		} else if pg.resident {
+			s.unlink(pg)
+			s.pushFront(pg)
 		}
-		return nil, fl, false
+		if pg.fetching {
+			return pg, pageJoined
+		}
+		return pg, pageHit
 	}
-	fl = &flight{done: make(chan struct{}), prefetch: !record}
-	s.flights[p] = fl
-	if record {
-		s.misses++
+	pg := s.take(c.pageSize)
+	pg.id = p
+	pg.fetching = true
+	pg.prefetched = !demand
+	pg.done.Add(1)
+	if demand {
+		pg.pins = 1
+		c.misses.Add(1)
 		telPageMisses.Inc()
 	}
-	return nil, fl, true
+	s.pages[p] = pg
+	return pg, pageOwned
 }
 
-// publish completes an owned flight with data and inserts the page.
-func (c *pageCache) publish(p int64, fl *flight, data []byte) {
+// touch moves page p to the front of the LRU if it is resident.
+func (c *pageCache) touch(p int64) {
 	s := c.shard(p)
 	s.mu.Lock()
-	delete(s.flights, p)
-	if _, ok := s.items[p]; !ok {
-		s.items[p] = s.ll.PushFront(cacheEntry{page: p, data: data, prefetched: fl.prefetch})
-		telResidentPages.Inc()
-		for s.ll.Len() > s.cap {
-			back := s.ll.Back()
-			s.ll.Remove(back)
-			delete(s.items, back.Value.(cacheEntry).page)
-			telPageEvictions.Inc()
-			telResidentPages.Dec()
-		}
-		if s.ll.Len() > s.peak {
-			s.peak = s.ll.Len()
-		}
+	if pg := s.pages[p]; pg != nil && pg.resident {
+		s.unlink(pg)
+		s.pushFront(pg)
 	}
 	s.mu.Unlock()
-	fl.data = data
-	close(fl.done)
 }
 
-// fail completes an owned flight with an error; the page is not cached.
-func (c *pageCache) fail(p int64, fl *flight, err error) {
-	s := c.shard(p)
+// hit counts n page hits, for pages a reader still holds from an
+// earlier row as for pages acquire finds.
+func (c *pageCache) hit(n int) {
+	c.hits.Add(uint64(n))
+	telPageHits.Add(uint64(n))
+}
+
+// publish completes an owned fetch whose data is in place: the page
+// enters the LRU, the least recent pages beyond the capacity leave it,
+// and its joiners wake.
+func (c *pageCache) publish(pg *page) {
+	s := c.shard(pg.id)
 	s.mu.Lock()
-	delete(s.flights, p)
+	defer s.mu.Unlock()
+	pg.fetching = false
+	pg.resident = true
+	s.pushFront(pg)
+	s.n++
+	telResidentPages.Inc()
+	for s.n > s.cap {
+		v := s.lru.prev
+		s.unlink(v)
+		delete(s.pages, v.id)
+		v.resident = false
+		s.n--
+		telPageEvictions.Inc()
+		telResidentPages.Dec()
+		if v.pins == 0 {
+			s.recycle(v)
+		}
+	}
+	if s.n > s.peak {
+		s.peak = s.n
+	}
+	// Released under the lock, so that the page cannot be recycled and
+	// fetched again before its flight is complete.
+	pg.done.Done()
+}
+
+// fail completes an owned fetch with an error: the page is not cached,
+// its joiners wake to err, and the owner's own pin (demand) is dropped.
+func (c *pageCache) fail(pg *page, err error, demand bool) {
+	s := c.shard(pg.id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.pages, pg.id)
+	pg.fetching = false
+	pg.err = err
+	pg.done.Done()
+	if demand {
+		pg.pins--
+	}
+	if pg.pins == 0 {
+		s.recycle(pg)
+	}
+}
+
+// release drops one demand reader's pin. The last pin of a page that
+// has left the cache (evicted, or its fetch failed) recycles it.
+func (c *pageCache) release(pg *page) {
+	s := c.shard(pg.id)
+	s.mu.Lock()
+	pg.pins--
+	if pg.pins == 0 && !pg.resident && !pg.fetching {
+		s.recycle(pg)
+	}
 	s.mu.Unlock()
-	fl.err = err
-	close(fl.done)
+}
+
+// take returns a free page buffer, recycled if the shard has one.
+func (s *cacheShard) take(pageSize int) *page {
+	if n := len(s.free); n > 0 {
+		pg := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return pg
+	}
+	return &page{data: make([]byte, 0, pageSize)}
+}
+
+// recycle puts an unpinned page that left the cache on the free list.
+// The list holds at most a shard's capacity; a page beyond it is left
+// to the garbage collector.
+func (s *cacheShard) recycle(pg *page) {
+	if len(s.free) >= s.cap {
+		return
+	}
+	pg.err = nil
+	pg.prefetched = false
+	s.free = append(s.free, pg)
+}
+
+func (s *cacheShard) pushFront(pg *page) {
+	pg.prev, pg.next = &s.lru, s.lru.next
+	s.lru.next.prev = pg
+	s.lru.next = pg
+}
+
+func (s *cacheShard) unlink(pg *page) {
+	pg.prev.next, pg.next.prev = pg.next, pg.prev
+	pg.prev, pg.next = nil, nil
 }
 
 func (c *pageCache) stats() (hits, misses uint64) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		hits += s.hits
-		misses += s.misses
-		s.mu.Unlock()
-	}
-	return hits, misses
+	return c.hits.Load(), c.misses.Load()
 }
 
 // capPages returns the total page capacity across shards.
@@ -189,7 +281,7 @@ func (c *pageCache) lenPages() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		total += s.ll.Len()
+		total += s.n
 		s.mu.Unlock()
 	}
 	return total

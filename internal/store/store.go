@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -151,114 +152,128 @@ func (f *File) Close() error {
 	return nil
 }
 
-// ensure makes pages [p0, p1] resident, reading missing runs from the
-// backing file with adjacent pages merged into single ReadAt calls.
-// When out is non-nil it receives the page data (out[j] = page p0+j)
-// and the call waits for pages fetched concurrently by other readers;
-// when out is nil (prefetch) joined flights are not waited on.
-// record=false keeps prefetch probes out of the hit/miss statistics.
-func (f *File) ensure(p0, p1 int64, out [][]byte, record bool) error {
-	type join struct {
-		idx int
-		fl  *flight
-	}
-	var joins []join
-	var owned []int64
-	flights := make(map[int64]*flight, int(p1-p0+1))
-	for p := p0; p <= p1; p++ {
-		data, fl, own := f.cache.acquire(p, record)
-		switch {
-		case data != nil:
-			if out != nil {
-				out[p-p0] = data
-			}
-		case own:
-			owned = append(owned, p)
-			flights[p] = fl
-		default:
-			if out != nil {
-				joins = append(joins, join{idx: int(p - p0), fl: fl})
-			}
-		}
-	}
+// maxRunPages caps one device read. A merged run of missing pages is
+// read through its caller's scratch buffer in pieces of at most this
+// many pages, so one fetch holds at most this many page buffers in
+// flight and a scratch buffer never outgrows 64 KB.
+const maxRunPages = 16
 
-	// Merge owned pages into consecutive runs; one ReadAt per run.
-	var firstErr error
-	for i := 0; i < len(owned); {
-		j := i + 1
-		for j < len(owned) && owned[j] == owned[j-1]+1 {
-			j++
+// fetchScratch is one caller's reusable fetch state (a Reader's or a
+// prefetch worker's): the run buffer and the pages it fetches or waits
+// on.
+type fetchScratch struct {
+	run   []byte
+	owned []*page
+	joins []*page
+}
+
+// ensure makes pages [p0, p1] resident, reading missing runs from the
+// backing file with adjacent pages merged into single ReadAt calls of
+// at most maxRunPages pages. A demand read (out non-nil, one slot per
+// page) receives every page pinned, out[j] = page p0+j, after waiting
+// for pages other readers are fetching; the caller releases them. A
+// prefetch (out nil) pins nothing, waits for no page in flight and
+// stays out of the hit and miss counts; it first touches every
+// resident page of the range, since its fetches come in pieces.
+func (f *File) ensure(p0, p1 int64, out []*page, fs *fetchScratch) error {
+	demand := out != nil
+	if !demand {
+		for p := p0; p <= p1; p++ {
+			f.cache.touch(p)
 		}
-		runStart, runPages := owned[i], j-i
-		data, err := f.readRun(runStart, runPages)
-		for k := 0; k < runPages; k++ {
-			p := runStart + int64(k)
-			fl := flights[p]
-			if err != nil {
-				f.cache.fail(p, fl, err)
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
+	}
+	var firstErr error
+	for c0 := p0; c0 <= p1; c0 += maxRunPages {
+		fs.owned = fs.owned[:0]
+		for p := c0; p <= p1 && p < c0+maxRunPages; p++ {
+			pg, how := f.cache.acquire(p, demand)
+			switch how {
+			case pageOwned:
+				fs.owned = append(fs.owned, pg)
+			case pageJoined:
+				fs.joins = append(fs.joins, pg)
 			}
-			lo := k * f.hdr.pageSize
-			hi := lo + f.hdr.pageSize
-			if hi > len(data) {
-				hi = len(data)
-			}
-			// Copy each page out of the run buffer so evicting one page
-			// of a merged run frees its bytes (the cache's byte bound
-			// holds per page, not per run).
-			pg := make([]byte, hi-lo)
-			copy(pg, data[lo:hi])
-			f.cache.publish(p, fl, pg)
-			if out != nil {
+			if demand {
 				out[p-p0] = pg
 			}
 		}
-		i = j
-	}
-
-	for _, jn := range joins {
-		<-jn.fl.done
-		if jn.fl.err != nil {
-			if firstErr == nil {
-				firstErr = jn.fl.err
+		// One ReadAt per run of consecutive owned pages.
+		for i := 0; i < len(fs.owned); {
+			j := i + 1
+			for j < len(fs.owned) && fs.owned[j].id == fs.owned[j-1].id+1 {
+				j++
 			}
-			continue
+			if err := f.readRun(fs.owned[i:j], &fs.run); err != nil {
+				for _, pg := range fs.owned[i:j] {
+					f.cache.fail(pg, err, demand)
+					if demand {
+						out[pg.id-p0] = nil
+					}
+				}
+				if firstErr == nil {
+					firstErr = err
+				}
+			}
+			i = j
 		}
-		out[jn.idx] = jn.fl.data
+	}
+	for _, pg := range fs.joins {
+		pg.done.Wait()
+		if pg.err != nil && firstErr == nil {
+			firstErr = pg.err
+		}
+	}
+	fs.joins = fs.joins[:0]
+	if firstErr != nil && demand {
+		for j, pg := range out {
+			if pg != nil {
+				f.cache.release(pg)
+				out[j] = nil
+			}
+		}
 	}
 	return firstErr
 }
 
-// readRun reads runPages pages starting at page p in one request,
-// clamped to the payload tail.
-func (f *File) readRun(p int64, runPages int) ([]byte, error) {
-	start := p * int64(f.hdr.pageSize)
-	want := int64(runPages) * int64(f.hdr.pageSize)
+// readRun reads the owned pages of one run (consecutive, at most
+// maxRunPages) in one request through the scratch buffer, clamped to
+// the payload tail, copies each page into its buffer and publishes it.
+func (f *File) readRun(run []*page, scratch *[]byte) error {
+	ps := int64(f.hdr.pageSize)
+	start := run[0].id * ps
+	want := int64(len(run)) * ps
 	if rest := f.hdr.payloadLen() - start; want > rest {
 		want = rest
 	}
 	if want <= 0 {
-		return nil, fmt.Errorf("store: page %d beyond payload", p)
+		return fmt.Errorf("store: page %d beyond payload", run[0].id)
 	}
-	buf := make([]byte, want)
+	if int64(cap(*scratch)) < want {
+		*scratch = make([]byte, want)
+	}
+	buf := (*scratch)[:want]
 	n, err := f.r.ReadAt(buf, headerBytes+start)
 	if int64(n) != want {
 		if err == nil {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, fmt.Errorf("store: short read at page %d: %w", p, err)
+		return fmt.Errorf("store: short read at page %d: %w", run[0].id, err)
 	}
 	f.devRead.Add(uint64(want))
 	telMergedReads.Inc()
-	telRunPages.Observe(float64(runPages))
+	telRunPages.Observe(float64(len(run)))
 	telDeviceBytes.Add(uint64(want))
-	return buf, nil
+	for k, pg := range run {
+		lo := int64(k) * ps
+		pg.data = append(pg.data[:0], buf[lo:min(lo+ps, want)]...)
+		f.cache.publish(pg)
+	}
+	return nil
 }
 
-// Reader is a per-worker row cursor. The slice returned by Row is
+// Reader is a per-worker row cursor. It keeps the pages of its last
+// row pinned, so the consecutive rows of a page cost one cache lookup
+// between them; Release unpins them. The slice returned by Row is
 // valid until the next Row call on the same Reader; Readers are not
 // safe for concurrent use, but any number may read one File at once.
 type Reader struct {
@@ -268,7 +283,9 @@ type Reader struct {
 	// issue on the simulated backend). Device reads still count.
 	Untracked bool
 	buf       []float64
-	pages     [][]byte
+	held      []*page // the last row's pages, pinned; held[0] is page hp0
+	hp0       int64
+	fs        fetchScratch
 }
 
 // Reader returns a new row cursor.
@@ -276,7 +293,9 @@ func (f *File) Reader() *Reader {
 	return &Reader{f: f, buf: make([]float64, f.hdr.d)}
 }
 
-// Row decodes row i through the page cache.
+// Row decodes row i through the page cache. Every row counts its
+// requested bytes and one page hit or miss per page it spans, whether
+// its pages were still held from the row before or not.
 func (r *Reader) Row(i int) ([]float64, error) {
 	f := r.f
 	if i < 0 || i >= f.hdr.n {
@@ -288,25 +307,30 @@ func (r *Reader) Row(i int) ([]float64, error) {
 	p0 := off / ps
 	p1 := (off + rowBytes - 1) / ps
 	np := int(p1 - p0 + 1)
-	if cap(r.pages) < np {
-		r.pages = make([][]byte, np)
+	if len(r.held) > 0 && p0 >= r.hp0 && p1 < r.hp0+int64(len(r.held)) {
+		f.cache.hit(np)
+	} else {
+		r.Release()
+		if cap(r.held) < np {
+			r.held = make([]*page, np)
+		}
+		r.held = r.held[:np]
+		if err := f.ensure(p0, p1, r.held, &r.fs); err != nil {
+			r.held = r.held[:0]
+			return nil, err
+		}
+		r.hp0 = p0
 	}
-	pages := r.pages[:np]
-	for j := range pages {
-		pages[j] = nil
-	}
-	if err := f.ensure(p0, p1, pages, true); err != nil {
-		return nil, err
-	}
+	pages := r.held[p0-r.hp0:]
 	if np == 1 {
 		rel := off - p0*ps
-		decodeRow(pages[0][rel:rel+rowBytes], f.hdr.elem, r.buf)
+		decodeRow(pages[0].data[rel:rel+rowBytes], f.hdr.elem, r.buf)
 	} else {
 		// Row spans pages; elements never do (pageSize % elem == 0).
 		elem := int64(f.hdr.elem)
 		for j := 0; j < f.hdr.d; j++ {
 			rel := off + int64(j)*elem - p0*ps
-			pg := pages[rel/ps]
+			pg := pages[rel/ps].data
 			decodeRow(pg[rel%ps:rel%ps+elem], f.hdr.elem, r.buf[j:j+1])
 		}
 	}
@@ -315,6 +339,16 @@ func (r *Reader) Row(i int) ([]float64, error) {
 		telRequestedBytes.Add(uint64(rowBytes))
 	}
 	return r.buf, nil
+}
+
+// Release unpins the pages the Reader holds, so that the cache can
+// recycle them once they are evicted. The Reader stays usable.
+func (r *Reader) Release() {
+	for j, pg := range r.held {
+		r.f.cache.release(pg)
+		r.held[j] = nil
+	}
+	r.held = r.held[:0]
 }
 
 // --- prefetch pipeline -------------------------------------------------
@@ -338,6 +372,7 @@ func newPrefetcher(f *File, workers, queue int) *prefetcher {
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer p.wg.Done()
+			var fs fetchScratch
 			for {
 				select {
 				case <-p.quit:
@@ -345,7 +380,7 @@ func newPrefetcher(f *File, workers, queue int) *prefetcher {
 				case r := <-p.ch:
 					// Errors surface on the demand path; a failed
 					// prefetch is only a lost overlap.
-					_ = f.ensure(r.p0, r.p1, nil, false)
+					_ = f.ensure(r.p0, r.p1, nil, &fs)
 				}
 			}
 		}()
@@ -369,7 +404,15 @@ func (p *prefetcher) stop() {
 
 // Prefetch hints that the given rows are about to be read. Row page
 // spans are merged into contiguous ranges and handed to the fetch
-// pool; without a pool this is a no-op. Safe for concurrent use.
+// pool; rows outside the file are ignored, and without a pool this is
+// a no-op. Safe for concurrent use.
+//
+// Prefetch then yields the processor, so that a pool worker it woke
+// starts the fetch at once even when every processor is busy
+// computing. The scheduler would otherwise run the worker only when the
+// caller blocks or is preempted, after up to 10 ms, by which time a
+// compute loop has read past the hinted rows and the late fetch reads
+// pages it already read and evicted.
 func (f *File) Prefetch(rows []int32) {
 	if f.pf == nil || len(rows) == 0 {
 		return
@@ -378,6 +421,9 @@ func (f *File) Prefetch(rows []int32) {
 	rowBytes := int64(f.hdr.rowBytes())
 	cur := pageRange{p0: -1}
 	for _, row := range rows {
+		if row < 0 || int(row) >= f.hdr.n {
+			continue
+		}
 		off := int64(row) * rowBytes
 		p0 := off / ps
 		p1 := (off + rowBytes - 1) / ps
@@ -395,4 +441,5 @@ func (f *File) Prefetch(rows []int32) {
 	if cur.p0 >= 0 {
 		f.pf.submit(cur)
 	}
+	runtime.Gosched()
 }

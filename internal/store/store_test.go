@@ -21,7 +21,7 @@ func testMatrix(n, d int, seed int64) *matrix.Dense {
 	return m
 }
 
-func writeTemp(t *testing.T, m *matrix.Dense, elem int) string {
+func writeTemp(t testing.TB, m *matrix.Dense, elem int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "data.knor")
 	if err := WriteDense(m, path, elem); err != nil {
