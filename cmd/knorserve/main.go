@@ -74,7 +74,8 @@
 // -state DIR persists every model's latest snapshot (name, version,
 // centroids) on publish and shutdown, and reloads the registry on the
 // next boot, so a restarted server serves its models immediately and
-// version numbers never move backwards.
+// version numbers never move backwards. Each save is fsynced before it
+// replaces the previous file.
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: the listener
 // stops accepting, every in-flight request (including /assign rows

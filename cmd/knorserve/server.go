@@ -8,6 +8,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -583,6 +584,28 @@ type createModelReq struct {
 	} `json:"spec,omitempty"`
 }
 
+// trainConfig is the k-means configuration a create trains with over
+// values training coordinates (rows × dims). The server owns two of its
+// settings:
+//   - Threads is the request's, clamped to [1, GOMAXPROCS]: each thread
+//     is a worker with its own k×d accumulator.
+//   - Prune is MTI only while its k×k centroid-distance matrix is no
+//     larger than the data (k² ≤ n·d). MTI's bound state is O(n + k²)
+//     (Table 1), so at a serving model's k ≫ √(n·d) that matrix, not the
+//     data, sets the create's memory, and its pruning no longer pays for
+//     its upkeep. MTI prunes exactly, so both give the same centroids.
+func (req *createModelReq) trainConfig(values int) kmeans.Config {
+	prune := kmeans.PruneNone
+	if req.K > 0 && req.K <= values/req.K {
+		prune = kmeans.PruneMTI
+	}
+	return kmeans.Config{
+		K: req.K, MaxIters: req.Iters, Seed: req.Seed,
+		Init: kmeans.InitKMeansPP, Prune: prune,
+		Threads: min(max(req.Threads, 1), runtime.GOMAXPROCS(0)),
+	}
+}
+
 func (s *server) handleCreateModel(w http.ResponseWriter, r *http.Request) {
 	var req createModelReq
 	if !decodeBody(w, r, &req) {
@@ -628,10 +651,7 @@ func (s *server) handleCreateModel(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("training data is %dx%d: need at least one row and one dimension", data.Rows(), data.Cols()))
 		return
 	}
-	cfg := kmeans.Config{
-		K: req.K, MaxIters: req.Iters, Seed: req.Seed,
-		Init: kmeans.InitKMeansPP, Prune: kmeans.PruneMTI, Threads: req.Threads,
-	}
+	cfg := req.trainConfig(len(data.Data))
 	var centroids *matrix.Dense
 	switch req.Engine {
 	case "", "lloyd":

@@ -3,8 +3,11 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"knor/internal/matrix"
 )
@@ -14,12 +17,16 @@ import (
 // with their version numbers intact (knorserve -state). Only the
 // latest version of each model is saved — history and pins are
 // serving-time conveniences, not durable state — and writes go through
-// a temp file + rename so a crash mid-save never corrupts the previous
-// state file.
+// an fsynced temp file + rename so a crash mid-save never corrupts the
+// previous state file.
 //
 // Centroids are saved at float64, the one width a Model stores. A file
 // an older binary wrote for a float32 publish (elem 4, base64 data32,
 // no data) fails to load with an error naming the model.
+
+// The persisted* types are the file's schema: LoadState decodes them
+// with encoding/json, and SaveState streams the same bytes json.Marshal
+// would write for them (writeState).
 
 // persistedModel is one model's latest snapshot on disk.
 type persistedModel struct {
@@ -66,40 +73,26 @@ func SaveRegistry(r *Registry, path string) error {
 // but the exact mini-batch state between publishes — folding is
 // deterministic, so a restarted updater fed the remaining batches
 // lands bit-identically with one that never stopped.
+//
+// The file is streamed (writeState) and fsynced before the rename, so
+// a save holds one small chunk of JSON, not the whole file, and a crash
+// leaves either the previous file or the new one complete. A model or
+// checkpoint holding NaN or ±Inf fails the save and leaves the previous
+// file in place.
 func SaveState(r *Registry, streams []StreamCheckpoint, path string) error {
-	var pf persistedRegistry
-	for _, m := range r.List() {
-		pf.Models = append(pf.Models, persistedModel{
-			Name: m.Name, Version: m.Version, Node: m.Node,
-			Rows: m.K(), Cols: m.Dims(), Data: m.Centroids.Data,
-		})
-	}
-	for _, cp := range streams {
-		if cp.Centroids == nil {
-			continue
-		}
-		pf.Streams = append(pf.Streams, persistedStream{
-			Model: cp.Model, Seen: cp.Seen, Published: cp.Published,
-			Counts: cp.Counts,
-			Rows:   cp.Centroids.Rows(), Cols: cp.Centroids.Cols(),
-			Data: cp.Centroids.Data,
-		})
-	}
-	buf, err := json.Marshal(&pf)
-	if err != nil {
-		return fmt.Errorf("serve: marshal registry state: %w", err)
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".registry-*.json")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".registry-*.json")
 	if err != nil {
 		return fmt.Errorf("serve: save registry state: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: save registry state: %w", err)
+	err = writeState(tmp, r.List(), streams)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("serve: save registry state: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
@@ -107,6 +100,174 @@ func SaveState(r *Registry, streams []StreamCheckpoint, path string) error {
 	}
 	telSnapshotSaves.Inc()
 	return nil
+}
+
+// stateChunk is how many bytes of JSON a save gathers before it writes
+// them out. The chunk has room for one number past it, so appending a
+// value never grows the chunk.
+const stateChunk = 32 << 10
+
+// stateWriter appends JSON to one reused chunk and writes the chunk to
+// out each time it fills. The first error sticks.
+type stateWriter struct {
+	out io.Writer
+	b   []byte
+	err error
+}
+
+// writeState writes the state file's JSON for models and the
+// checkpoints that carry centroids to out: the bytes json.Marshal
+// writes for the persistedRegistry LoadState decodes, field for field,
+// with its omitempty and null cases.
+func writeState(out io.Writer, models []*Model, streams []StreamCheckpoint) error {
+	w := &stateWriter{out: out, b: make([]byte, 0, stateChunk+64)}
+	w.raw(`{"models":`)
+	if len(models) == 0 {
+		w.raw("null")
+	}
+	for i, m := range models {
+		w.raw(sep(i))
+		w.str(`{"name":`, m.Name)
+		w.num(`,"version":`, int64(m.Version))
+		w.num(`,"node":`, int64(m.Node))
+		w.num(`,"rows":`, int64(m.K()))
+		w.num(`,"cols":`, int64(m.Dims()))
+		if len(m.Centroids.Data) > 0 {
+			w.floats(`,"data":`, m.Centroids.Data)
+		}
+		w.raw("}")
+		if w.err != nil {
+			return fmt.Errorf("model %q: %w", m.Name, w.err)
+		}
+	}
+	if len(models) > 0 {
+		w.raw("]")
+	}
+	n := 0
+	for _, cp := range streams {
+		if cp.Centroids == nil {
+			continue
+		}
+		if n == 0 {
+			w.raw(`,"streams":`)
+		}
+		w.raw(sep(n))
+		n++
+		w.str(`{"model":`, cp.Model)
+		w.num(`,"seen":`, cp.Seen)
+		w.num(`,"published":`, int64(cp.Published))
+		w.ints(`,"counts":`, cp.Counts)
+		w.num(`,"rows":`, int64(cp.Centroids.Rows()))
+		w.num(`,"cols":`, int64(cp.Centroids.Cols()))
+		w.floats(`,"data":`, cp.Centroids.Data)
+		w.raw("}")
+		if w.err != nil {
+			return fmt.Errorf("stream %q: %w", cp.Model, w.err)
+		}
+	}
+	if n > 0 {
+		w.raw("]")
+	}
+	w.raw("}")
+	w.flush()
+	return w.err
+}
+
+// sep opens an array before element 0 and separates the others.
+func sep(i int) string {
+	if i == 0 {
+		return "["
+	}
+	return ","
+}
+
+// closing ends an array of n elements; an empty one was never opened.
+func closing(n int) string {
+	if n == 0 {
+		return "[]"
+	}
+	return "]"
+}
+
+func (w *stateWriter) raw(s string) {
+	w.b = append(w.b, s...)
+	w.spill()
+}
+
+// str writes key and then s as encoding/json quotes a string, HTML
+// characters escaped.
+func (w *stateWriter) str(key, s string) {
+	q, _ := json.Marshal(s) // a string always marshals
+	w.b = append(append(w.b, key...), q...)
+	w.spill()
+}
+
+func (w *stateWriter) num(key string, v int64) {
+	w.b = strconv.AppendInt(append(w.b, key...), v, 10)
+	w.spill()
+}
+
+// ints writes key and then v as a JSON array, or null for a nil v.
+func (w *stateWriter) ints(key string, v []int64) {
+	w.raw(key)
+	if v == nil {
+		w.raw("null")
+		return
+	}
+	for i, c := range v {
+		w.num(sep(i), c)
+	}
+	w.raw(closing(len(v)))
+}
+
+// floats writes key and then v as a JSON array, or null for a nil v.
+func (w *stateWriter) floats(key string, v []float64) {
+	w.raw(key)
+	if v == nil {
+		w.raw("null")
+		return
+	}
+	for i, f := range v {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			if w.err == nil {
+				w.err = fmt.Errorf("unsupported value: %v", f)
+			}
+			return
+		}
+		w.b = appendJSONFloat(append(w.b, sep(i)...), f)
+		w.spill()
+	}
+	w.raw(closing(len(v)))
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64:
+// the shortest 'f' form, or 'e' below 1e-6 and from 1e21 with a
+// one-digit negative exponent unpadded (e-07 → e-7).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// spill writes the chunk out once it holds stateChunk bytes.
+func (w *stateWriter) spill() {
+	if len(w.b) >= stateChunk {
+		w.flush()
+	}
+}
+
+func (w *stateWriter) flush() {
+	if w.err == nil && len(w.b) > 0 {
+		_, w.err = w.out.Write(w.b)
+	}
+	w.b = w.b[:0]
 }
 
 // LoadRegistry rebuilds a registry from a state file written by

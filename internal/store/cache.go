@@ -76,14 +76,16 @@ func newPageCache(capacityBytes, pageSize, shards int) *pageCache {
 	if capPages < shards {
 		capPages = shards // at least one page per shard
 	}
+	// The first capPages % shards shards take one page more, so the
+	// shards hold the whole budget.
 	c := &pageCache{pageSize: pageSize, shards: make([]cacheShard, shards)}
-	per := capPages / shards
-	if per < 1 {
-		per = 1
-	}
+	per, extra := capPages/shards, capPages%shards
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.cap = per
+		if i < extra {
+			s.cap++
+		}
 		s.pages = make(map[int64]*page)
 		s.lru.next, s.lru.prev = &s.lru, &s.lru
 	}

@@ -282,6 +282,34 @@ func TestCacheBoundedAndEviction(t *testing.T) {
 	}
 }
 
+// TestPageCacheHoldsBudget: the shards together hold every page of the
+// byte budget, at least one page each, and differ by at most one page.
+func TestPageCacheHoldsBudget(t *testing.T) {
+	for _, c := range []struct{ capacityBytes, pageSize, shards, want int }{
+		{6_400_000, PageSize, 8, 1562}, // d32's cache: 1562 pages, not 8×195
+		{16 * PageSize, PageSize, 4, 16},
+		{17*PageSize - 1, PageSize, 4, 16},
+		{19 * PageSize, PageSize, 4, 19},
+		{3 * PageSize, PageSize, 8, 8}, // one page per shard at least
+		{0, PageSize, 3, 3},
+		{5 * 512, 512, 0, 5}, // shards < 1 means one shard
+		{7 * PageSize, PageSize, 7, 7},
+	} {
+		pc := newPageCache(c.capacityBytes, c.pageSize, c.shards)
+		if got := pc.capPages(); got != c.want {
+			t.Errorf("%d bytes of %d-byte pages over %d shards: %d pages, want %d",
+				c.capacityBytes, c.pageSize, c.shards, got, c.want)
+		}
+		lo, hi := pc.shards[0].cap, pc.shards[0].cap
+		for i := range pc.shards {
+			lo, hi = min(lo, pc.shards[i].cap), max(hi, pc.shards[i].cap)
+		}
+		if lo < 1 || hi-lo > 1 {
+			t.Errorf("%d bytes over %d shards: shard capacities span [%d, %d]", c.capacityBytes, c.shards, lo, hi)
+		}
+	}
+}
+
 func TestSingleflightNoDuplicateReads(t *testing.T) {
 	m := testMatrix(1024, 32, 8) // payload 256KB = 64 pages
 	path := writeTemp(t, m, 8)
