@@ -53,8 +53,9 @@ test-noasm:
 # assign-request and assign-reply decoders, the SIMD GEMM and
 # row-distance kernels against the pure-Go loops, the block-free
 # flush at both precisions against Dgemm + scan, the store's
-# recycled page buffers against the source rows, and the streamed state
-# file against json.Marshal. Minimizing a new input may take
+# recycled page buffers against the source rows, the knors row cache
+# against a map per partition, and the streamed state file against
+# json.Marshal. Minimizing a new input may take
 # 60 s by default, which stalls a 10 s run on a large seed (the d32
 # assign body), so each minimization gets 100 executions; a failing
 # input is still reported, only less minimized.
@@ -67,6 +68,7 @@ fuzz-smoke:
 	$(GO) test $(FUZZ) -fuzz '^FuzzSqDistRowsParity$$' ./internal/blas
 	$(GO) test $(FUZZ) -fuzz '^FuzzNearestRowsParity$$' ./internal/blas
 	$(GO) test $(FUZZ) -fuzz '^FuzzReaderRecycle$$' ./internal/store
+	$(GO) test $(FUZZ) -fuzz '^FuzzRowCache$$' ./internal/sem
 	$(GO) test $(FUZZ) -fuzz '^FuzzStateWriter$$' ./internal/serve
 
 # Full figure sweeps (smaller -quick variants; drop -quick for the

@@ -3,6 +3,7 @@ package sem
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,9 +100,12 @@ type Engine struct {
 type semTask struct {
 	lo, hi int
 	worker int
+	// active marks the rows that needed computation, bit i-lo for row
+	// i. The compute pass sets it on row-cache refresh iterations only,
+	// for fillRowCache; nil without a row cache.
+	active []uint64
 	// per-iteration scratch, filled by the compute pass:
-	active  []int32 // rows that needed computation
-	miss    []int32 // active rows not served by the row cache
+	miss    []int32 // active rows not served by the row cache (simulated backend's replay only)
 	dists   uint64
 	changed int
 }
@@ -200,7 +204,11 @@ func newEngine(src RowSource, data *matrix.Dense, cfg Config) (*Engine, error) {
 		if worker >= T {
 			worker = T - 1
 		}
-		e.tasks = append(e.tasks, semTask{lo: lo, hi: hi, worker: worker})
+		t := semTask{lo: lo, hi: hi, worker: worker}
+		if e.rc != nil {
+			t.active = make([]uint64, (hi-lo+63)/64)
+		}
+		e.tasks = append(e.tasks, t)
 	}
 	return e, nil
 }
@@ -377,7 +385,8 @@ const readAheadShare = 4
 // row cache are served from memory and the remaining misses are
 // prefetched a window at a time ahead of the row loop, so page fetches
 // overlap compute inside the cache.
-// Each task records its active rows and row-cache misses for the
+// On refresh iterations each task marks its active rows for the refill;
+// on the simulated backend it lists its row-cache misses for the
 // deterministic accounting pass.
 func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 	T := e.cfg.Kmeans.Threads
@@ -404,7 +413,9 @@ func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 					return
 				}
 				task := &e.tasks[ti]
-				task.active = task.active[:0]
+				if refresh {
+					clear(task.active)
+				}
 				task.miss = task.miss[:0]
 				hints = hints[:0]
 				ahead := task.hi // the row whose window starts the next hint
@@ -441,7 +452,9 @@ func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 						o.Ctr.C1++
 						continue
 					}
-					task.active = append(task.active, int32(i))
+					if refresh {
+						task.active[(i-task.lo)/64] |= 1 << ((i - task.lo) % 64)
+					}
 					var row []float64
 					cached := false
 					if e.rc != nil && !refresh {
@@ -450,7 +463,7 @@ func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 							row = vals // nil on the simulated backend (data is resident)
 						}
 					}
-					if !cached {
+					if !cached && !real {
 						task.miss = append(task.miss, int32(i))
 					}
 					if row == nil {
@@ -540,28 +553,35 @@ func (e *Engine) fillRowCache() error {
 	if e.rc == nil {
 		return nil
 	}
-	var cur RowCursor
-	if e.src.Real() {
-		cur = e.untrackedCursor()
-		defer cur.Release()
+	if !e.src.Real() {
+		return e.rc.refill(e.activeRows, nil)
 	}
+	cur := e.untrackedCursor()
+	defer cur.Release()
+	return e.rc.refill(e.activeRows, func(r int32) ([]float64, error) {
+		row, err := cur.Row(int(r))
+		if err != nil {
+			return nil, fmt.Errorf("sem: row cache refill row %d: %w", r, err)
+		}
+		return row, nil
+	})
+}
+
+// activeRows yields the rows the last refresh pass marked active, in
+// ascending order.
+func (e *Engine) activeRows(yield func(int32) bool) {
 	for ti := range e.tasks {
-		for _, r := range e.tasks[ti].active {
-			if !e.rc.Wants(r) {
-				continue
+		t := &e.tasks[ti]
+		for w, word := range t.active {
+			for word != 0 {
+				r := t.lo + w*64 + bits.TrailingZeros64(word)
+				if !yield(int32(r)) {
+					return
+				}
+				word &= word - 1
 			}
-			if cur == nil {
-				e.rc.Offer(r)
-				continue
-			}
-			row, err := cur.Row(int(r))
-			if err != nil {
-				return fmt.Errorf("sem: row cache refill row %d: %w", r, err)
-			}
-			e.rc.OfferData(r, row)
 		}
 	}
-	return nil
 }
 
 func (e *Engine) result() (*kmeans.Result, error) {

@@ -12,13 +12,15 @@ import (
 // Sharding keeps lock hold times short under many workers; the
 // flight/insert protocol never holds a shard lock across device I/O.
 //
-// Page buffers are a fixed budget. A demand reader pins every page it
-// uses, the in-flight pages it joins included, and releases it when it
-// moves on. The LRU evicts pinned and unpinned pages alike, so the
-// resident count never exceeds the capacity. An unpinned victim's
-// buffer goes on its shard's free list at once, a pinned victim's when
-// its last pin is released, and the shard's next miss reuses it: once
-// the cache is full, a streaming pass allocates no page memory.
+// Page buffers are a fixed budget, and pages in flight count against
+// it. A demand reader pins every page it uses, the in-flight pages it
+// joins included, and releases it when it moves on. A miss in a shard
+// whose resident and in-flight pages fill its capacity first evicts
+// the LRU tail, pinned or not, and reuses its buffer unless a reader
+// still pins it; a pinned victim's buffer goes on the shard's free list
+// at its last release, for a later miss. So a shard's buffers exceed
+// its capacity only by evicted pages that readers still pin, and once
+// the cache is full a streaming pass allocates no page memory.
 //
 // A demand hit moves a page to the front of the LRU, except the first
 // hit on a page the prefetch pool fetched. Read-ahead inserts pages in
@@ -35,13 +37,17 @@ type pageCache struct {
 }
 
 type cacheShard struct {
-	mu    sync.Mutex
-	cap   int             // resident pages
-	pages map[int64]*page // resident pages and pages in flight
-	lru   page            // list sentinel: lru.next is the most recent page
-	n     int             // resident pages
-	peak  int             // high-water resident pages
-	free  []*page         // recycled buffers, at most cap
+	mu       sync.Mutex
+	cap      int             // resident and in-flight pages
+	pages    map[int64]*page // resident pages and pages in flight
+	lru      page            // list sentinel: lru.next is the most recent page
+	n        int             // resident pages
+	inflight int             // pages being fetched
+	peak     int             // high-water resident pages
+	free     []*page         // recycled buffers, at most cap
+	// Page buffers allocated, and pages evicted while a reader pinned
+	// them: the first exceeds cap by at most the second.
+	allocs, pinnedEvictions int
 }
 
 // page is one page buffer and, while its fetch is in flight, the
@@ -125,6 +131,7 @@ func (c *pageCache) acquire(p int64, demand bool) (*page, int) {
 		return pg, pageHit
 	}
 	pg := s.take(c.pageSize)
+	s.inflight++
 	pg.id = p
 	pg.fetching = true
 	pg.prefetched = !demand
@@ -157,8 +164,9 @@ func (c *pageCache) hit(n int) {
 }
 
 // publish completes an owned fetch whose data is in place: the page
-// enters the LRU, the least recent pages beyond the capacity leave it,
-// and its joiners wake.
+// enters the LRU, the least recent pages beyond the capacity leave it
+// (only when fetches without a victim overfilled the shard), and its
+// joiners wake.
 func (c *pageCache) publish(pg *page) {
 	s := c.shard(pg.id)
 	s.mu.Lock()
@@ -167,16 +175,10 @@ func (c *pageCache) publish(pg *page) {
 	pg.resident = true
 	s.pushFront(pg)
 	s.n++
+	s.inflight--
 	telResidentPages.Inc()
 	for s.n > s.cap {
-		v := s.lru.prev
-		s.unlink(v)
-		delete(s.pages, v.id)
-		v.resident = false
-		s.n--
-		telPageEvictions.Inc()
-		telResidentPages.Dec()
-		if v.pins == 0 {
+		if v := s.evict(); v.pins == 0 {
 			s.recycle(v)
 		}
 	}
@@ -195,6 +197,7 @@ func (c *pageCache) fail(pg *page, err error, demand bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.pages, pg.id)
+	s.inflight--
 	pg.fetching = false
 	pg.err = err
 	pg.done.Done()
@@ -218,15 +221,39 @@ func (c *pageCache) release(pg *page) {
 	s.mu.Unlock()
 }
 
-// take returns a free page buffer, recycled if the shard has one.
+// take returns a page buffer for a miss. When resident and in-flight
+// pages fill the shard, it first evicts the LRU tail, whose buffer it
+// reuses unless a reader still pins it; otherwise a recycled buffer if
+// the shard has one, else a new one.
 func (s *cacheShard) take(pageSize int) *page {
+	if s.n > 0 && s.n+s.inflight >= s.cap {
+		if v := s.evict(); v.pins == 0 {
+			s.recycle(v)
+		}
+	}
 	if n := len(s.free); n > 0 {
 		pg := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 		return pg
 	}
+	s.allocs++
 	return &page{data: make([]byte, 0, pageSize)}
+}
+
+// evict removes the least recent resident page from the cache.
+func (s *cacheShard) evict() *page {
+	v := s.lru.prev
+	s.unlink(v)
+	delete(s.pages, v.id)
+	v.resident = false
+	s.n--
+	if v.pins > 0 {
+		s.pinnedEvictions++
+	}
+	telPageEvictions.Inc()
+	telResidentPages.Dec()
+	return v
 }
 
 // recycle puts an unpinned page that left the cache on the free list.

@@ -425,3 +425,71 @@ func BenchmarkReaderRow(b *testing.B) {
 		})
 	}
 }
+
+// TestPageBuffersHoldBudget: two readers and two prefetch workers
+// stream a file 8x the cache, each its half of the rows with read-ahead
+// windows as the knors engine issues them. Pages in flight count
+// against the budget, so the shards allocate at most their capacity in
+// page buffers, plus one for each page evicted while a reader pinned
+// it.
+func TestPageBuffersHoldBudget(t *testing.T) {
+	const cachePages = 64
+	m := testMatrix(8*cachePages*32, 16, 17) // 128-byte rows, 8x the cache
+	path := writeTemp(t, m, 8)
+	f, err := Open(path, Options{CacheBytes: cachePages * PageSize, Shards: 2, PrefetchWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const window = cachePages / 4 / 2 * 32 // rows: each reader's share of a quarter of the cache
+	half := m.Rows() / 2
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			r := f.Reader()
+			defer r.Release()
+			hints := make([]int32, 0, 3*window)
+			for pass := 0; pass < 3; pass++ {
+				next := lo // rows [lo, next) of this pass were hinted
+				for i := lo; i < hi; i++ {
+					if (i-lo)%window == 0 {
+						hints = hints[:0]
+						for ; next < min(i+3*window, hi); next++ {
+							hints = append(hints, int32(next))
+						}
+						f.Prefetch(hints)
+					}
+					row, err := r.Row(i)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for j, v := range row {
+						if v != m.At(i, j) {
+							t.Errorf("row %d col %d: %v, source %v", i, j, v, m.At(i, j))
+							return
+						}
+					}
+				}
+			}
+		}(w*half, (w+1)*half)
+	}
+	wg.Wait()
+	f.pf.stop()
+	f.pf = nil
+	checkPinsReleased(t, f)
+	allocs, pinned := 0, 0
+	for i := range f.cache.shards {
+		s := &f.cache.shards[i]
+		s.mu.Lock()
+		allocs += s.allocs
+		pinned += s.pinnedEvictions
+		s.mu.Unlock()
+	}
+	if limit := f.CacheCapPages() + pinned; allocs > limit {
+		t.Fatalf("%d page buffers allocated for a %d-page cache with %d pages evicted while pinned", allocs, f.CacheCapPages(), pinned)
+	}
+	t.Logf("%d page buffers for a %d-page cache, %d pages evicted while pinned", allocs, f.CacheCapPages(), pinned)
+}
