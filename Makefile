@@ -49,19 +49,23 @@ test-noasm:
 
 # 10 s coverage-guided runs of the fuzz targets (mirrors CI; `go test`
 # alone only replays their seeds): the /v1/assign body decoder against
-# encoding/json, the netcluster frame codec, the worker's shard-push,
+# encoding/json, the /v1/assign handler's status codes, the JSON number
+# scanner against strconv.ParseFloat, the netcluster frame codec, the worker's shard-push,
 # assign-request and assign-reply decoders, the SIMD GEMM and
 # row-distance kernels against the pure-Go loops, the block-free
 # flush at both precisions against Dgemm + scan, the store's
 # recycled page buffers against the source rows, the knors row cache
-# against a map per partition, and the streamed state file against
-# json.Marshal. Minimizing a new input may take
+# against a map per partition, the streamed state file against
+# json.Marshal, and the state file's float arrays against
+# encoding/json's []float64. Minimizing a new input may take
 # 60 s by default, which stalls a 10 s run on a large seed (the d32
 # assign body), so each minimization gets 100 executions; a failing
 # input is still reported, only less minimized.
 FUZZ = -run '^$$' -fuzztime 10s -fuzzminimizetime 100x
 fuzz-smoke:
 	$(GO) test $(FUZZ) -fuzz '^FuzzAssignBody$$' ./cmd/knorserve
+	$(GO) test $(FUZZ) -fuzz '^FuzzAssignHandler$$' ./cmd/knorserve
+	$(GO) test $(FUZZ) -fuzz '^FuzzScan$$' ./internal/jsonfloat
 	$(GO) test $(FUZZ) -fuzz '^FuzzReadFrame$$' ./internal/netcluster
 	$(GO) test $(FUZZ) -fuzz '^FuzzPeerPayloads$$' ./internal/shardserve
 	$(GO) test $(FUZZ) -fuzz '^FuzzDgemmAsmParity$$' ./internal/blas
@@ -70,6 +74,7 @@ fuzz-smoke:
 	$(GO) test $(FUZZ) -fuzz '^FuzzReaderRecycle$$' ./internal/store
 	$(GO) test $(FUZZ) -fuzz '^FuzzRowCache$$' ./internal/sem
 	$(GO) test $(FUZZ) -fuzz '^FuzzStateWriter$$' ./internal/serve
+	$(GO) test $(FUZZ) -fuzz '^FuzzLoadState$$' ./internal/serve
 
 # Full figure sweeps (smaller -quick variants; drop -quick for the
 # complete scale-reduced reproduction).

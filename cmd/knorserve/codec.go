@@ -12,6 +12,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"knor/internal/jsonfloat"
 	"knor/internal/matrix"
 	"knor/internal/netcluster"
 	"knor/internal/serve"
@@ -24,8 +25,9 @@ import (
 // syntax-checked, a repeated member replaces the earlier one, a
 // top-level null is an empty request, nesting is capped at
 // encoding/json's depth, and bytes after the first value are ignored.
-// A number must pass the JSON grammar and is then parsed by
-// strconv.ParseFloat, as encoding/json parses it. A null coordinate is
+// A number is read once, byte by byte, by jsonfloat.Scan, which checks
+// the JSON grammar and converts it to the float64 strconv.ParseFloat
+// returns, as encoding/json converts it. A null coordinate is
 // rejected, and so is a row whose squared norm overflows, since its
 // distances could not be encoded into the reply. Decoding stops at the
 // first row or coordinate past maxRows or maxCoords.
@@ -282,11 +284,8 @@ func (p *parser) row() error {
 		}
 		switch c := p.ws(); {
 		case c == '-' || '0' <= c && c <= '9':
-			lit, err := p.number()
-			if err != nil {
-				return err
-			}
-			v, err := strconv.ParseFloat(string(lit), 64)
+			v, end, err := jsonfloat.Scan(p.b, p.i)
+			p.i = end
 			if err != nil {
 				return err
 			}
@@ -322,7 +321,13 @@ func (p *parser) skip(depth int) error {
 		_, _, err := p.str()
 		return err
 	case c == '-' || '0' <= c && c <= '9':
-		_, err := p.number()
+		// encoding/json never converts a number it skips, so one past
+		// float64's range passes here.
+		_, end, err := jsonfloat.Scan(p.b, p.i)
+		p.i = end
+		if errors.Is(err, strconv.ErrRange) {
+			return nil
+		}
 		return err
 	case c == 't':
 		return p.literal("true")
@@ -402,53 +407,6 @@ func (p *parser) literal(word string) error {
 		p.i++
 	}
 	return nil
-}
-
-// number scans a number in the JSON grammar and returns its bytes.
-func (p *parser) number() ([]byte, error) {
-	b, i := p.b, p.i
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if j := digits(b, i); j > i {
-		i = j
-	} else {
-		p.i = i
-		return nil, p.fail("digit")
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
-			p.i = j
-			return nil, p.fail("digit after decimal point")
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := digits(b, i)
-		if j == i {
-			p.i = j
-			return nil, p.fail("digit in exponent")
-		}
-		i = j
-	}
-	lit := b[p.i:i]
-	p.i = i
-	return lit, nil
-}
-
-// digits returns the end of the run of decimal digits at b[i:].
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
 }
 
 // text scans a string and returns its value. A string that has escapes
@@ -535,25 +493,7 @@ func appendAssignReply(b []byte, as []serve.Assignment) ([]byte, error) {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendFloat(b, a.SqDist)
+		b = jsonfloat.Append(b, a.SqDist)
 	}
 	return append(b, "]}\n"...), nil
-}
-
-// appendFloat formats f as encoding/json formats a float64: the shortest
-// 'f' form, or 'e' form below 1e-6 and from 1e21 on, with a two-digit
-// negative exponent such as e-09 shortened to e-9.
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }

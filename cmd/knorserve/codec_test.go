@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -168,6 +169,61 @@ func FuzzAssignBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkDecode(t, body)
+	})
+}
+
+// FuzzAssignHandler drives the real /v1/assign handler, through the
+// server's mux, with any body: a 2-centroid, 2-dimensional model behind
+// a quota of 1. Every body is answered 200, 400, 413, 429 or 503, never
+// a 500 or a panic, and a 200 carries one answer per row.
+func FuzzAssignHandler(f *testing.F) {
+	s, err := newServer(serverOptions{threads: 1, nodes: 1, quota: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.close)
+	h := s.mux()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/models",
+		strings.NewReader(`{"name":"m","k":2,"rows":[[0,0],[0,1],[1,0],[1,1]]}`)))
+	if w.Code != http.StatusCreated {
+		f.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	for _, s := range []string{
+		`{"model":"m","rows":[[0.25,1],[1,-0.5e-3]]}`,
+		`{"model":"m","rows":[]}`,
+		`{"model":"m","rows":null}`,
+		`null`,
+		`{"model":"m","rows":[[1,2,3]]}`,
+		`{"model":"m","rows":[[1],[2,3]]}`,
+		`{"model":"nope","rows":[[1,2]]}`,
+		`{"model":"m","rows":[[1,null]]}`,
+		`{"model":"m","rows":[[1e200,1e200]]}`,
+		`{"model":"m","rows":[[1e400,0]]}`,
+		`{"x":1e400,"model":"m","rows":[[1,2]]}`,
+		`{"model":"m","rows":[[1.7976931348623157e308,0]]}`,
+		`{"model":"m","rows":[[0.` + strings.Repeat("0", 40) + `1,12345678901234567890123]]}`,
+		`{"model":"m","rows":[[1,2]]`,
+		`{"model":"m","rows":[["1",2]]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/assign", bytes.NewReader(body)))
+		switch w.Code {
+		case http.StatusOK:
+			var q rowsReq
+			var reply assignResp
+			if err := q.decode(body); err != nil || json.Unmarshal(w.Body.Bytes(), &reply) != nil ||
+				len(reply.Clusters) != q.rows.Rows() || len(reply.SqDists) != q.rows.Rows() {
+				t.Fatalf("%q: 200 with reply %s", body, w.Body)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests,
+			http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("%q: status %d: %s", body, w.Code, w.Body)
+		}
 	})
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 
+	"knor/internal/jsonfloat"
 	"knor/internal/matrix"
 )
 
@@ -25,17 +27,18 @@ import (
 // no data) fails to load with an error naming the model.
 
 // The persisted* types are the file's schema: LoadState decodes them
-// with encoding/json, and SaveState streams the same bytes json.Marshal
-// would write for them (writeState).
+// with encoding/json, its float arrays through jsonfloat.Scan (floats),
+// and SaveState streams the same bytes json.Marshal would write for
+// them (writeState).
 
 // persistedModel is one model's latest snapshot on disk.
 type persistedModel struct {
-	Name    string    `json:"name"`
-	Version int       `json:"version"`
-	Node    int       `json:"node"`
-	Rows    int       `json:"rows"`
-	Cols    int       `json:"cols"`
-	Data    []float64 `json:"data,omitempty"` // row-major centroids, rows×cols
+	Name    string `json:"name"`
+	Version int    `json:"version"`
+	Node    int    `json:"node"`
+	Rows    int    `json:"rows"`
+	Cols    int    `json:"cols"`
+	Data    floats `json:"data,omitempty"` // row-major centroids, rows×cols
 }
 
 // persistedStream is one model's stream-updater checkpoint on disk:
@@ -43,13 +46,13 @@ type persistedModel struct {
 // learning rate, so persisting them means a resumed engine folds the
 // next batch with exactly the step sizes an uninterrupted one would).
 type persistedStream struct {
-	Model     string    `json:"model"`
-	Seen      int64     `json:"seen"`
-	Published int       `json:"published"`
-	Counts    []int64   `json:"counts"`
-	Rows      int       `json:"rows"`
-	Cols      int       `json:"cols"`
-	Data      []float64 `json:"data"` // unpublished centroids, row-major
+	Model     string  `json:"model"`
+	Seen      int64   `json:"seen"`
+	Published int     `json:"published"`
+	Counts    []int64 `json:"counts"`
+	Rows      int     `json:"rows"`
+	Cols      int     `json:"cols"`
+	Data      floats  `json:"data"` // unpublished centroids, row-major
 }
 
 // persistedRegistry is the state file's schema. Streams is absent in
@@ -59,6 +62,71 @@ type persistedStream struct {
 type persistedRegistry struct {
 	Models  []persistedModel  `json:"models"`
 	Streams []persistedStream `json:"streams,omitempty"`
+}
+
+// floats decodes a JSON array of numbers as encoding/json decodes a
+// []float64, reading each number once through jsonfloat.Scan into a
+// slice allocated at its final length. As for a []float64, null sets
+// nil and [] an empty slice, and a null element keeps what the slice's
+// array held at its index: 0 in a fresh slice, or an earlier value of
+// the same member when the member repeats.
+type floats []float64
+
+// UnmarshalJSON decodes b, one whole JSON value as encoding/json hands
+// it over.
+func (f *floats) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*f = nil
+		return nil
+	}
+	i := skipSpace(b, 0)
+	if i == len(b) || b[i] != '[' {
+		return fmt.Errorf("want an array of numbers, found %.20q", b)
+	}
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == ']' {
+		*f = floats{}
+		return nil
+	}
+	// Elements are numbers and nulls, so every comma separates two;
+	// a body with another kind of element fails below.
+	n := bytes.Count(b, []byte{','}) + 1
+	s := *f
+	if cap(s) < n {
+		grown := make(floats, n)
+		copy(grown, s[:cap(s)])
+		s = grown
+	}
+	s = s[:n]
+	for k := 0; k < n; k++ {
+		i = skipSpace(b, i)
+		if bytes.HasPrefix(b[i:], []byte("null")) {
+			i += len("null")
+		} else {
+			v, end, err := jsonfloat.Scan(b, i)
+			if err != nil {
+				return err
+			}
+			s[k], i = v, end
+		}
+		if i = skipSpace(b, i); i < len(b) && b[i] == ']' {
+			*f = s[:k+1]
+			return nil
+		}
+		if i == len(b) || b[i] != ',' {
+			break
+		}
+		i++
+	}
+	return fmt.Errorf("offset %d: want ',' or ']' in an array of numbers", i)
+}
+
+// skipSpace returns the index of the first byte at or after b[i] that
+// is not JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
 }
 
 // SaveRegistry writes the latest snapshot of every model to path,
@@ -234,26 +302,10 @@ func (w *stateWriter) floats(key string, v []float64) {
 			}
 			return
 		}
-		w.b = appendJSONFloat(append(w.b, sep(i)...), f)
+		w.b = jsonfloat.Append(append(w.b, sep(i)...), f)
 		w.spill()
 	}
 	w.raw(closing(len(v)))
-}
-
-// appendJSONFloat appends a finite f as encoding/json writes a float64:
-// the shortest 'f' form, or 'e' below 1e-6 and from 1e21 with a
-// one-digit negative exponent unpadded (e-07 → e-7).
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
 }
 
 // spill writes the chunk out once it holds stateChunk bytes.
