@@ -49,8 +49,9 @@ test-noasm:
 
 # 10 s coverage-guided runs of the fuzz targets (mirrors CI; `go test`
 # alone only replays their seeds): the /v1/assign body decoder against
-# encoding/json, the /v1/assign handler's status codes, the JSON number
-# scanner against strconv.ParseFloat, the netcluster frame codec, the worker's shard-push,
+# encoding/json, the /v1/assign handler's status codes on a single node
+# and on a sharded coordinator, the JSON number scanner against
+# strconv.ParseFloat, the netcluster frame codec, the worker's shard-push,
 # assign-request and assign-reply decoders, the SIMD GEMM and
 # row-distance kernels against the pure-Go loops, the block-free
 # flush at both precisions against Dgemm + scan, the store's

@@ -173,21 +173,30 @@ func FuzzAssignBody(f *testing.F) {
 }
 
 // FuzzAssignHandler drives the real /v1/assign handler, through the
-// server's mux, with any body: a 2-centroid, 2-dimensional model behind
-// a quota of 1. Every body is answered 200, 400, 413, 429 or 503, never
-// a 500 or a panic, and a 200 carries one answer per row.
+// server's mux, with any body, on a single-node server and on a
+// sharded coordinator over two in-process machines: a 2-centroid,
+// 2-dimensional model behind a quota of 1. Every body is answered 200,
+// 400, 413, 429 or 503 by both, never a 500 or a panic, and a 200
+// carries one answer per row.
 func FuzzAssignHandler(f *testing.F) {
-	s, err := newServer(serverOptions{threads: 1, nodes: 1, quota: 1})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(s.close)
-	h := s.mux()
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/models",
-		strings.NewReader(`{"name":"m","k":2,"rows":[[0,0],[0,1],[1,0],[1,1]]}`)))
-	if w.Code != http.StatusCreated {
-		f.Fatalf("create: %d %s", w.Code, w.Body)
+	var handlers []http.Handler
+	for _, opts := range []serverOptions{
+		{threads: 1, nodes: 1, quota: 1},
+		{threads: 1, nodes: 1, quota: 1, machines: 2},
+	} {
+		s, err := newServer(opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(s.close)
+		h := s.mux()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/models",
+			strings.NewReader(`{"name":"m","k":2,"rows":[[0,0],[0,1],[1,0],[1,1]]}`)))
+		if w.Code != http.StatusCreated {
+			f.Fatalf("create on %d machines: %d %s", opts.machines, w.Code, w.Body)
+		}
+		handlers = append(handlers, h)
 	}
 	for _, s := range []string{
 		`{"model":"m","rows":[[0.25,1],[1,-0.5e-3]]}`,
@@ -209,20 +218,22 @@ func FuzzAssignHandler(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/assign", bytes.NewReader(body)))
-		switch w.Code {
-		case http.StatusOK:
-			var q rowsReq
-			var reply assignResp
-			if err := q.decode(body); err != nil || json.Unmarshal(w.Body.Bytes(), &reply) != nil ||
-				len(reply.Clusters) != q.rows.Rows() || len(reply.SqDists) != q.rows.Rows() {
-				t.Fatalf("%q: 200 with reply %s", body, w.Body)
+		for machines, h := range handlers {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/assign", bytes.NewReader(body)))
+			switch w.Code {
+			case http.StatusOK:
+				var q rowsReq
+				var reply assignResp
+				if err := q.decode(body); err != nil || json.Unmarshal(w.Body.Bytes(), &reply) != nil ||
+					len(reply.Clusters) != q.rows.Rows() || len(reply.SqDists) != q.rows.Rows() {
+					t.Fatalf("%q on %d machines: 200 with reply %s", body, machines+1, w.Body)
+				}
+			case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests,
+				http.StatusServiceUnavailable:
+			default:
+				t.Fatalf("%q on %d machines: status %d: %s", body, machines+1, w.Code, w.Body)
 			}
-		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests,
-			http.StatusServiceUnavailable:
-		default:
-			t.Fatalf("%q: status %d: %s", body, w.Code, w.Body)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -188,9 +189,11 @@ func newServer(opts serverOptions) (*server, error) {
 	// Reloaded models resume their stream updater from the persisted
 	// mini-batch checkpoint when the state file carries one — the
 	// resumed engine folds the next batch with exactly the learning
-	// rates an uninterrupted one would. Models from older state files
-	// (no checkpoint) get a fresh updater seeded from the published
-	// centroids; only their early post-restart folding is slower.
+	// rates an uninterrupted one would. A model without a checkpoint
+	// gets a fresh updater seeded from the published centroids: exactly
+	// the one saved when its updater had folded nothing since that
+	// version (checkpoints). Models from older state files get it too;
+	// only their early post-restart folding is slower.
 	cpByModel := make(map[string]serve.StreamCheckpoint, len(loadedCPs))
 	for _, cp := range loadedCPs {
 		cpByModel[cp.Model] = cp
@@ -198,12 +201,7 @@ func newServer(opts serverOptions) (*server, error) {
 	for _, m := range reg.List() {
 		cp, ok := cpByModel[m.Name]
 		if !ok {
-			cp = serve.StreamCheckpoint{
-				Model:     m.Name,
-				Centroids: m.Centroids,
-				Counts:    make([]int64, m.K()),
-				Published: m.Version,
-			}
+			cp = freshCheckpoint(m)
 		}
 		eng, err := serve.ResumeStreamEngine(cp, reg)
 		if err != nil {
@@ -262,7 +260,10 @@ func (s *server) saver() {
 	}
 }
 
-// checkpoints snapshots every stream updater's mini-batch state.
+// checkpoints snapshots every stream updater's mini-batch state,
+// leaving out an updater that has folded nothing since its model's
+// latest version: a restore rebuilds it bit for bit from the model, so
+// its checkpoint would only hold the model's centroids a second time.
 func (s *server) checkpoints() []serve.StreamCheckpoint {
 	s.mu.Lock()
 	engs := make([]*serve.StreamEngine, 0, len(s.streams))
@@ -272,9 +273,45 @@ func (s *server) checkpoints() []serve.StreamCheckpoint {
 	s.mu.Unlock()
 	cps := make([]serve.StreamCheckpoint, 0, len(engs))
 	for _, eng := range engs {
-		cps = append(cps, eng.Checkpoint())
+		cp := eng.Checkpoint()
+		if m, ok := s.reg.Get(cp.Model); ok && isFresh(cp, m) {
+			continue
+		}
+		cps = append(cps, cp)
 	}
 	return cps
+}
+
+// freshCheckpoint is the state of a stream updater that has folded
+// nothing since m, its model's latest version: m's centroids, zero
+// counts, and m's version as its publish count.
+func freshCheckpoint(m *serve.Model) serve.StreamCheckpoint {
+	return serve.StreamCheckpoint{
+		Model:     m.Name,
+		Centroids: m.Centroids,
+		Counts:    make([]int64, m.K()),
+		Published: m.Version,
+	}
+}
+
+// isFresh reports whether cp is freshCheckpoint(m), centroid bits
+// included.
+func isFresh(cp serve.StreamCheckpoint, m *serve.Model) bool {
+	if cp.Seen != 0 || cp.Published != m.Version || len(cp.Counts) != m.K() ||
+		cp.Centroids.Rows() != m.K() || cp.Centroids.Cols() != m.Dims() {
+		return false
+	}
+	for _, c := range cp.Counts {
+		if c != 0 {
+			return false
+		}
+	}
+	for i, v := range cp.Centroids.Data {
+		if math.Float64bits(v) != math.Float64bits(m.Centroids.Data[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // sweep applies the age bound periodically until close.

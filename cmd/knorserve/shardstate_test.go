@@ -6,11 +6,16 @@ package main
 
 import (
 	"net/http"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"knor/internal/kmeans"
+	"knor/internal/matrix"
+	"knor/internal/serve"
 )
 
 // TestE2EShardedAssign runs the same model on a single-node and a
@@ -159,6 +164,75 @@ func TestE2EStateRoundTrip(t *testing.T) {
 	if code, body := postJSON(t, ts2.URL+"/v1/publish", `{"model":"r"}`); code != http.StatusOK ||
 		body["version"] != float64(3) {
 		t.Fatalf("publish after restart: %d %v", code, body)
+	}
+}
+
+// TestStateOmitsFreshCheckpoint: the state file leaves out the stream
+// checkpoint of an updater that has folded nothing since its model's
+// latest version (just created, or published again without a fold), so
+// it holds that model's centroids once, and a restart rebuilds every
+// updater as it was: those from their models, the others from their
+// checkpoints. One other has folded a row; three, loaded from an
+// earlier file, have folded nothing but count fewer publishes than
+// their model's versions, carry counts, or hold other centroids.
+func TestStateOmitsFreshCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	reg := serve.NewRegistry(1)
+	c := &matrix.Dense{RowsN: 2, ColsN: 2, Data: []float64{0, 0.5, 1, 0.5}}
+	earlier := []serve.StreamCheckpoint{
+		{Model: "behind", Centroids: c, Counts: []int64{0, 0}, Published: 1},
+		{Model: "counted", Centroids: c, Counts: []int64{0, 3}, Published: 2},
+		{Model: "moved", Centroids: &matrix.Dense{RowsN: 2, ColsN: 2, Data: []float64{0, 0.5, 1, -0.5}},
+			Counts: []int64{0, 0}, Published: 2},
+	}
+	for _, cp := range earlier {
+		if _, err := reg.Restore(cp.Model, 2, 0, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := serve.SaveState(reg, earlier, filepath.Join(dir, "registry.json")); err != nil {
+		t.Fatal(err)
+	}
+	s1, ts1 := newTestServer(t, serverOptions{stateDir: dir, publishEvery: 0})
+	for _, name := range []string{"created", "republished", "folded"} {
+		if code, body := postJSON(t, ts1.URL+"/v1/models",
+			`{"name":"`+name+`","k":2,"rows":[[0,0],[0,1],[1,0],[1,1]]}`); code != http.StatusCreated {
+			t.Fatalf("create %s: %d %v", name, code, body)
+		}
+	}
+	if code, body := postJSON(t, ts1.URL+"/v1/publish", `{"model":"republished"}`); code != http.StatusOK ||
+		body["version"] != float64(2) {
+		t.Fatalf("publish: %d %v", code, body)
+	}
+	if code, body := postJSON(t, ts1.URL+"/v1/observe", `{"model":"folded","rows":[[0.6,0.4]]}`); code != http.StatusOK {
+		t.Fatalf("observe: %d %v", code, body)
+	}
+	want := map[string]serve.StreamCheckpoint{}
+	for name, eng := range s1.streams {
+		want[name] = eng.Checkpoint()
+	}
+	ts1.Close()
+	s1.close() // final state save
+
+	_, cps, err := serve.LoadState(filepath.Join(dir, "registry.json"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved []string
+	for _, cp := range cps {
+		saved = append(saved, cp.Model)
+	}
+	if slices.Sort(saved); !slices.Equal(saved, []string{"behind", "counted", "folded", "moved"}) {
+		t.Fatalf("state file holds checkpoints of %v, want all but the fresh ones", saved)
+	}
+	s2, _ := newTestServer(t, serverOptions{stateDir: dir, publishEvery: 0})
+	if len(s2.streams) != len(want) {
+		t.Fatalf("%d updaters after restart, want %d", len(s2.streams), len(want))
+	}
+	for name, w := range want {
+		if got := s2.streams[name].Checkpoint(); !reflect.DeepEqual(got, w) {
+			t.Errorf("%s after restart: %+v, want %+v", name, got, w)
+		}
 	}
 }
 

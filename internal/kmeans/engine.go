@@ -74,6 +74,11 @@ type EngineOf[T blas.Float] struct {
 	sc      sched.Scheduler
 	tasks   []sched.Task
 	costs   []taskCost
+	// seeded is the k-means++ seeding's nearest seeds, which the first
+	// compute pass applies instead of scanning all k centroids; nil
+	// after that pass and for runs that do not seed that way
+	// (seedsAssign).
+	seeded *seeding[T]
 
 	// baseClock lets an enclosing simulation (knord) start this
 	// machine's clocks at a given simulated time.
@@ -87,7 +92,12 @@ type Engine = EngineOf[float64]
 func NewEngineValidated[T blas.Float](data *matrix.Mat[T], cfg Config) *EngineOf[T] {
 	n, d := data.Rows(), data.Cols()
 	e := &EngineOf[T]{data: data, cfg: cfg, n: n, d: d, k: cfg.K}
-	e.cents = initCentroids(data, cfg)
+	if seedsAssign(cfg) {
+		e.seeded = &seeding[T]{near: make([]int32, n)}
+		e.cents, e.seeded.d2 = initKMeansPP(data, cfg.K, cfg.Seed, e.seeded.near)
+	} else {
+		e.cents = initCentroids(data, cfg)
+	}
 	if cfg.Spherical {
 		normalizeRows(e.cents)
 	}
@@ -212,8 +222,13 @@ func (e *EngineOf[T]) ApplyGlobal(delta *AccumOf[T]) float64 {
 
 // computePass runs the real parallel assignment pass. Tasks are claimed
 // off a shared atomic cursor (order is irrelevant for correctness: row
-// decisions are independent given the iteration's centroids).
+// decisions are independent given the iteration's centroids). The
+// first pass of a seedsAssign run takes each row's nearest centroid
+// from the seeding; a row whose D² is NaN is scanned, since the
+// seeding kept seed 0 where the scan's argmin skips a NaN distance.
 func (e *EngineOf[T]) computePass(iter int) IterStats {
+	seeded := e.seeded
+	e.seeded = nil
 	var cursor int64
 	outs := make([]Tally, e.cfg.Threads)
 	rowBytes := e.d * blas.ElemBytes[T]()
@@ -243,7 +258,13 @@ func (e *EngineOf[T]) computePass(iter int) IterStats {
 					bytes += rowBytes
 					row := e.data.Row(i)
 					old := e.ps.Assign[i]
-					if e.ps.AssignRow(i, row, e.cents, &o.Ctr, dist) {
+					var changed bool
+					if seeded != nil && seeded.d2[i] == seeded.d2[i] {
+						changed = e.ps.assignSeeded(i, seeded.near[i], seeded.d2[i], &o.Ctr)
+					} else {
+						changed = e.ps.AssignRow(i, row, e.cents, &o.Ctr, dist)
+					}
+					if changed {
 						o.Changed++
 						if old >= 0 {
 							delta.Remove(row, int(old))

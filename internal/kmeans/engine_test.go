@@ -267,3 +267,28 @@ func BenchmarkTrain(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkServingModel times kmeans.Run as POST /v1/models trains the
+// benchmark's two serving models: k-means++, one thread, and the bound
+// structure the server's trainConfig picks (MTI for k=100 over
+// 2000×16, none for k=1000 over 2000×32).
+func BenchmarkServingModel(b *testing.B) {
+	for _, bc := range []struct {
+		name     string
+		d, k, it int
+		prune    Prune
+	}{
+		{"d16", 16, 100, 5, PruneMTI},
+		{"d32", 32, 1000, 2, PruneNone},
+	} {
+		data := testData(2_000, bc.d, 10, 1)
+		cfg := Config{K: bc.k, MaxIters: bc.it, Init: InitKMeansPP, Prune: bc.prune, Seed: 1, Threads: 1}
+		b.Run(bc.name, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := Run(data, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

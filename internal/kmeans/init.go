@@ -56,7 +56,8 @@ func initCentroidsRows[T blas.Float](data RowData[T], cfg Config) *matrix.Mat[T]
 	case InitRandomPartition:
 		return initRandomPartition(data, cfg.K, cfg.Seed)
 	case InitKMeansPP:
-		return initKMeansPP(data, cfg.K, cfg.Seed)
+		c, _ := initKMeansPP(data, cfg.K, cfg.Seed, nil)
+		return c
 	case InitGiven:
 		return centroidsAs[T](cfg.Centroids)
 	default:
@@ -115,7 +116,12 @@ func initRandomPartition[T blas.Float](data RowData[T], k int, seed int64) *matr
 
 // initKMeansPP implements k-means++ D² seeding (Arthur & Vassilvitskii),
 // listed in the paper's future work (§9) via semi-supervised k-means++.
-func initKMeansPP[T blas.Float](data RowData[T], k int, seed int64) *matrix.Mat[T] {
+// It returns the seeds and every row's final D², its squared distance
+// to the nearest seed. A non-nil near receives that seed's index per
+// row: a D² is lowered only by a strictly smaller distance, so among
+// equal minima near keeps the lowest index, as assignExact's argmin
+// does.
+func initKMeansPP[T blas.Float](data RowData[T], k int, seed int64, near []int32) (*matrix.Mat[T], []T) {
 	rng := rand.New(rand.NewSource(seed))
 	n, d := data.Rows(), data.Cols()
 	c := matrix.New[T](k, d)
@@ -124,15 +130,15 @@ func initKMeansPP[T blas.Float](data RowData[T], k int, seed int64) *matrix.Mat[
 	// D² scans hand SqDistRows d2Block rows at a time: an in-memory
 	// matrix's rows in place, a streaming RowData (knors'
 	// InitCentroidsFromRows) copied into one block of rows first, so
-	// memory stays O(d2Block·d). The first scan sets d2; later ones
-	// lower it to the new centre's distance.
+	// memory stays O(d2Block·d). Seed 0's scan sets d2; later ones
+	// lower it to the new seed's distance.
 	mat, _ := data.(*matrix.Mat[T])
 	var block []T
 	if mat == nil {
 		block = make([]T, d2Block*d)
 	}
 	nd := make([]T, d2Block)
-	scan := func(centre []T, first bool) {
+	scan := func(g int) {
 		for lo := 0; lo < n; lo += d2Block {
 			hi := min(lo+d2Block, n)
 			var rows []T
@@ -144,19 +150,22 @@ func initKMeansPP[T blas.Float](data RowData[T], k int, seed int64) *matrix.Mat[
 					copy(rows[(i-lo)*d:], data.Row(i))
 				}
 			}
-			if first {
-				blas.SqDistRows(centre, rows, hi-lo, d2[lo:hi])
+			if g == 0 {
+				blas.SqDistRows(c.Row(0), rows, hi-lo, d2[lo:hi])
 				continue
 			}
-			blas.SqDistRows(centre, rows, hi-lo, nd)
+			blas.SqDistRows(c.Row(g), rows, hi-lo, nd)
 			for i, v := range nd[:hi-lo] {
 				if v < d2[lo+i] {
 					d2[lo+i] = v
+					if near != nil {
+						near[lo+i] = int32(g)
+					}
 				}
 			}
 		}
 	}
-	scan(c.Row(0), true)
+	scan(0)
 	for g := 1; g < k; g++ {
 		// The D² prefix sum runs in float64 at every width: at float32 a
 		// large-n total saturates (ulp ~ total·ε), silently zeroing the
@@ -181,9 +190,27 @@ func initKMeansPP[T blas.Float](data RowData[T], k int, seed int64) *matrix.Mat[
 			}
 		}
 		copy(c.Row(g), data.Row(pick))
-		scan(c.Row(g), false)
+		scan(g)
 	}
-	return c
+	return c, d2
+}
+
+// seeding is k-means++'s by-product for an in-memory run: each row's
+// nearest seed and its D². The engine's first pass applies it as
+// iteration 0's assignment (PruneStateOf.assignSeeded).
+type seeding[T blas.Float] struct {
+	near []int32
+	d2   []T
+}
+
+// seedsAssign reports whether a run's k-means++ seeding can stand in
+// for iteration 0's scan: its seeds must be iteration 0's centroids
+// (spherical runs normalise them after picking) and iteration 0 must
+// need only each row's nearest centroid (TI primes all k lower bounds,
+// Yinyang its group bounds).
+func seedsAssign(cfg Config) bool {
+	return cfg.Init == InitKMeansPP && !cfg.Spherical &&
+		(cfg.Prune == PruneNone || cfg.Prune == PruneMTI)
 }
 
 // d2Block is how many rows a k-means++ D² scan hands SqDistRows at once.

@@ -85,7 +85,8 @@ func TestKMeansPPSpreadsSeeds(t *testing.T) {
 	}
 	var ppSum, forgySum float64
 	for seed := int64(0); seed < 5; seed++ {
-		ppSum += avgPair(initKMeansPP(data, 8, seed))
+		pp, _ := initKMeansPP(data, 8, seed, nil)
+		ppSum += avgPair(pp)
 		forgySum += avgPair(initForgy(data, 8, seed))
 	}
 	if ppSum <= forgySum {

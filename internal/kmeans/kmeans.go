@@ -154,9 +154,14 @@ func (c Config) withDefaults(n int) (Config, error) {
 // IterStats records one iteration's behaviour. Byte counters are
 // meaningful for SEM runs; in-memory runs fill the compute fields.
 type IterStats struct {
-	Iter         int
-	SimSeconds   float64 // simulated wall time of the iteration
-	DistCalcs    uint64  // exact distance computations performed
+	Iter       int
+	SimSeconds float64 // simulated wall time of the iteration
+	// DistCalcs counts exact distance computations. Iteration 0 of an
+	// in-memory k-means++ run without TI or Yinyang takes each row's
+	// nearest centroid from the seeding's distances, and still counts
+	// the k per row an unpruned scan computes: the counter, and the
+	// simulated time charged for it, match the serial oracle's.
+	DistCalcs    uint64
 	PrunedC1     uint64  // rows skipped entirely (clause 1)
 	PrunedC2     uint64  // candidate distances skipped (clause 2)
 	PrunedC3     uint64  // candidate distances skipped post-tighten (clause 3)

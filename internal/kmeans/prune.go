@@ -289,6 +289,22 @@ func (p *PruneStateOf[T]) assignExact(i int, row []T, cents *matrix.Mat[T], ctr 
 	return changed
 }
 
+// assignSeeded assigns row i, not yet assigned, to seed c at squared
+// distance d2, as k-means++ seeding found them. SqDistRows gives the
+// seeding's seed-to-rows distances the bits of assignExact's
+// row-to-seeds ones, and both keep the first of equal minima, so for a
+// non-NaN d2 this is assignExact's answer. It counts the k distances
+// that scan computes, so counters and simulated time do not move.
+func (p *PruneStateOf[T]) assignSeeded(i int, c int32, d2 T, ctr *PruneCounters) bool {
+	ctr.DistCalcs += uint64(p.K)
+	changed := c != p.Assign[i]
+	p.Assign[i] = c
+	if p.Mode == PruneMTI {
+		p.UB[i] = sqrtT(d2)
+	}
+	return changed
+}
+
 // UpdateAfterMove recomputes per-centroid drift after a centroid update
 // and loosens the row bounds accordingly (ub += drift of its centroid;
 // lb -= drift of each centroid). Returns total drift, the convergence

@@ -89,7 +89,8 @@ type Engine struct {
 	rc      *RowCache // nil when disabled
 
 	tasks     []semTask
-	window    int // read-ahead window, rows (file backend)
+	dists     [][]float64 // one row of k distances per compute worker
+	window    int         // read-ahead window, rows (file backend)
 	iter      int
 	converged bool
 	perIter   []kmeans.IterStats
@@ -195,6 +196,10 @@ func newEngine(src RowSource, data *matrix.Dense, cfg Config) (*Engine, error) {
 	T := cfg.Kmeans.Threads
 	e.window = max(1, cfg.PageCacheBytes/readAheadShare/T/src.RowBytes())
 	ts := cfg.Kmeans.TaskSize
+	e.dists = make([][]float64, T)
+	for w := range e.dists {
+		e.dists[w] = make([]float64, e.k)
+	}
 	for lo := 0; lo < n; lo += ts {
 		hi := lo + ts
 		if hi > n {
@@ -400,9 +405,16 @@ func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 			defer wg.Done()
 			cur := e.cursor()
 			defer cur.Release()
-			var hints []int32 // the task's row-cache misses, for read-ahead
+			dist := e.dists[w]
+			// missed reports whether the pass reads row i from the
+			// store: the row needs its distances and the row cache
+			// does not serve it. Neither changes before the row loop
+			// reaches the row, so a window's misses can be hinted
+			// ahead of it.
+			missed := func(i int) bool {
+				return (iter == 0 || e.ps.NeedsRow(i)) && (e.rc == nil || refresh || !e.rc.Peek(int32(i)))
+			}
 			o := &outs[w]
-			dist := make([]float64, e.k)
 			delta := e.deltas[w]
 			delta.Reset()
 			for ti := range e.tasks {
@@ -417,21 +429,8 @@ func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 					clear(task.active)
 				}
 				task.miss = task.miss[:0]
-				hints = hints[:0]
-				ahead := task.hi // the row whose window starts the next hint
-				if real {
-					for i := task.lo; i < task.hi; i++ {
-						if iter > 0 && !e.ps.NeedsRow(i) {
-							continue
-						}
-						if e.rc != nil && !refresh && e.rc.Peek(int32(i)) {
-							continue
-						}
-						hints = append(hints, int32(i))
-					}
-					ahead = task.lo
-				}
-				hinted := 0 // hints[:hinted] went to the prefetch pool
+				ahead := task.lo  // the row whose window starts the next hint
+				hinted := task.lo // rows before it went to the read-ahead
 				before := o.Ctr
 				changedBefore := o.Changed
 				for i := task.lo; i < task.hi; i++ {
@@ -439,13 +438,9 @@ func (e *Engine) computePass(iter int, refresh bool) (kmeans.IterStats, error) {
 						// Entering a window: hint the misses up to the
 						// end of the window two ahead, so their pages
 						// stream in while this window is computed.
-						end := int32(min(i+3*e.window, task.hi))
-						j := hinted
-						for j < len(hints) && hints[j] < end {
-							j++
-						}
-						e.src.Prefetch(hints[hinted:j])
-						hinted = j
+						end := min(i+3*e.window, task.hi)
+						e.src.Prefetch(hinted, end, missed)
+						hinted = end
 						ahead += e.window
 					}
 					if iter > 0 && !e.ps.NeedsRow(i) {

@@ -26,10 +26,11 @@ type RowSource interface {
 	// requested-bytes counter (row-cache refills, SSE scans — reads
 	// the simulated algorithm would not issue).
 	UntrackedCursor() RowCursor
-	// Prefetch hints that the given rows are about to be read on the
-	// demand path. Real backends overlap the page fetches with
-	// compute; the simulated backend ignores it (RAM is the device).
-	Prefetch(rows []int32)
+	// Prefetch hints that the rows in [lo, hi) for which want reports
+	// true are about to be read on the demand path. Real backends
+	// overlap the page fetches with compute; the simulated backend
+	// ignores it (RAM is the device) and does not call want.
+	Prefetch(lo, hi int, want func(row int) bool)
 	// ReadRows settles one task's row-cache misses starting at
 	// simulated time start and returns the I/O completion time. The
 	// simulated backend charges its device queues and counters here;
@@ -69,7 +70,7 @@ func (s *simSource) RowBytes() int { return s.data.Cols() * 8 }
 func (s *simSource) Cursor() RowCursor          { return memCursor{s.data} }
 func (s *simSource) UntrackedCursor() RowCursor { return memCursor{s.data} }
 
-func (s *simSource) Prefetch([]int32) {}
+func (s *simSource) Prefetch(int, int, func(int) bool) {}
 
 func (s *simSource) ReadRows(start float64, rows []int32) float64 {
 	s.scratch = s.scratch[:0]
@@ -106,7 +107,7 @@ func (s fileSource) UntrackedCursor() RowCursor {
 	return r
 }
 
-func (s fileSource) Prefetch(rows []int32) { s.f.Prefetch(rows) }
+func (s fileSource) Prefetch(lo, hi int, want func(int) bool) { s.f.Prefetch(lo, hi, want) }
 
 func (s fileSource) ReadRows(start float64, rows []int32) float64 { return start }
 

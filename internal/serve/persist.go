@@ -350,11 +350,7 @@ func LoadState(path string, nodes int) (*Registry, []StreamCheckpoint, error) {
 	}
 	r := NewRegistry(nodes)
 	for _, pm := range pf.Models {
-		if pm.Rows <= 0 || pm.Cols <= 0 {
-			return nil, nil, fmt.Errorf("serve: registry state %s: model %q claims %dx%d",
-				path, pm.Name, pm.Rows, pm.Cols)
-		}
-		if pm.Rows*pm.Cols != len(pm.Data) {
+		if !shapeHolds(pm.Rows, pm.Cols, len(pm.Data)) {
 			return nil, nil, fmt.Errorf("serve: registry state %s: model %q claims %dx%d but has %d values",
 				path, pm.Name, pm.Rows, pm.Cols, len(pm.Data))
 		}
@@ -365,7 +361,7 @@ func LoadState(path string, nodes int) (*Registry, []StreamCheckpoint, error) {
 	}
 	var cps []StreamCheckpoint
 	for _, ps := range pf.Streams {
-		if ps.Rows <= 0 || ps.Cols <= 0 || ps.Rows*ps.Cols != len(ps.Data) || ps.Rows != len(ps.Counts) {
+		if !shapeHolds(ps.Rows, ps.Cols, len(ps.Data)) || ps.Rows != len(ps.Counts) {
 			return nil, nil, fmt.Errorf("serve: registry state %s: stream %q claims %dx%d with %d values, %d counts",
 				path, ps.Model, ps.Rows, ps.Cols, len(ps.Data), len(ps.Counts))
 		}
@@ -379,4 +375,11 @@ func LoadState(path string, nodes int) (*Registry, []StreamCheckpoint, error) {
 	}
 	telSnapshotLoads.Inc()
 	return r, cps, nil
+}
+
+// shapeHolds reports whether a positive rows×cols shape has exactly n
+// values. Dividing before multiplying keeps a hostile 2^32×2^32 claim
+// from overflowing to a product that matches.
+func shapeHolds(rows, cols, n int) bool {
+	return rows > 0 && cols > 0 && rows <= n/cols && rows*cols == n
 }

@@ -98,6 +98,12 @@ func TestLoadRegistryCorrupt(t *testing.T) {
 		// not load as a zero-filled model.
 		{"float32 publish", `{"models":[{"name":"f32","version":3,"node":1,"rows":2,"cols":2,"elem":4,"data32":"AACAPwAAAEAAAEBAAACAQA=="}]}`, `"f32"`},
 		{"truncated float32 publish", `{"models":[{"name":"f32","version":1,"rows":2,"cols":2,"elem":4,"data32":"AAAA"}]}`, `"f32"`},
+		// Shapes whose rows×cols wraps to the number of values held: a
+		// model claiming 2^32×2^32 with no data (its restore would
+		// allocate that many centroids), and a checkpoint claiming
+		// 4×2^62 with four counts and no values.
+		{"model shape overflows", `{"models":[{"name":"m","version":1,"node":0,"rows":4294967296,"cols":4294967296}]}`, `"m"`},
+		{"stream shape overflows", `{"models":null,"streams":[{"model":"s","seen":0,"published":0,"counts":[1,2,3,4],"rows":4,"cols":4611686018427387904,"data":[]}]}`, `"s"`},
 	} {
 		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
 			t.Fatal(err)

@@ -261,17 +261,12 @@ func TestRecycleStress(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(100*perShard + w)))
 				r := f.Reader()
 				defer r.Release()
-				hint := make([]int32, 0, 64)
 				for step := 0; step < 40; step++ {
 					// A run of consecutive rows from a random start, its
 					// rows hinted to the pool first.
 					lo := rng.Intn(m.Rows())
 					hi := min(lo+1+rng.Intn(96), m.Rows())
-					hint = hint[:0]
-					for i := lo; i < hi; i++ {
-						hint = append(hint, int32(i))
-					}
-					f.Prefetch(hint)
+					f.Prefetch(lo, hi, allRows)
 					for i := lo; i < hi; i++ {
 						row, err := r.Row(i)
 						if err != nil {
@@ -360,7 +355,7 @@ func FuzzReaderRecycle(f *testing.F) {
 			i := int(binary.LittleEndian.Uint16(seq[k:])>>1) % rows
 			r := readers[seq[k]&1]
 			if prefetch && seq[k+1]&2 != 0 {
-				file.Prefetch([]int32{int32(i), int32(i + 1), int32(i + 2)})
+				file.Prefetch(i, i+3, allRows)
 			}
 			for ; i < rows; i++ { // a short run from i
 				row, err := r.Row(i)
@@ -399,8 +394,7 @@ func BenchmarkReaderRow(b *testing.B) {
 			}
 			defer f.Close()
 			window := cachePages / 4 * 32 // rows
-			hints := make([]int32, 0, 3*window)
-			next := 0 // rows [0, next) of this pass were hinted
+			next := 0                     // rows [0, next) of this pass were hinted
 			r := f.Reader()
 			defer r.Release()
 			n := m.Rows()
@@ -412,11 +406,8 @@ func BenchmarkReaderRow(b *testing.B) {
 					if i == 0 {
 						next = 0
 					}
-					hints = hints[:0]
-					for ; next < min(i+3*window, n); next++ {
-						hints = append(hints, int32(next))
-					}
-					f.Prefetch(hints)
+					f.Prefetch(next, min(i+3*window, n), allRows)
+					next = min(i+3*window, n)
 				}
 				if _, err := r.Row(i); err != nil {
 					b.Fatal(err)
@@ -450,16 +441,12 @@ func TestPageBuffersHoldBudget(t *testing.T) {
 			defer wg.Done()
 			r := f.Reader()
 			defer r.Release()
-			hints := make([]int32, 0, 3*window)
 			for pass := 0; pass < 3; pass++ {
 				next := lo // rows [lo, next) of this pass were hinted
 				for i := lo; i < hi; i++ {
 					if (i-lo)%window == 0 {
-						hints = hints[:0]
-						for ; next < min(i+3*window, hi); next++ {
-							hints = append(hints, int32(next))
-						}
-						f.Prefetch(hints)
+						f.Prefetch(next, min(i+3*window, hi), allRows)
+						next = min(i+3*window, hi)
 					}
 					row, err := r.Row(i)
 					if err != nil {

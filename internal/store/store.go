@@ -402,10 +402,12 @@ func (p *prefetcher) stop() {
 	p.wg.Wait()
 }
 
-// Prefetch hints that the given rows are about to be read. Row page
-// spans are merged into contiguous ranges and handed to the fetch
-// pool; rows outside the file are ignored, and without a pool this is
-// a no-op. Safe for concurrent use.
+// Prefetch hints that the rows of [lo, hi) for which want reports true
+// are about to be read. Their page spans are merged, in row order, into
+// contiguous ranges handed to the fetch pool as each range ends, so no
+// list of the rows is kept. Rows outside the file are not offered to
+// want, and without a pool this is a no-op that calls want for none.
+// Safe for concurrent use.
 //
 // Prefetch then yields the processor, so that a pool worker it woke
 // starts the fetch at once even when every processor is busy
@@ -413,18 +415,18 @@ func (p *prefetcher) stop() {
 // caller blocks or is preempted, after up to 10 ms, by which time a
 // compute loop has read past the hinted rows and the late fetch reads
 // pages it already read and evicted.
-func (f *File) Prefetch(rows []int32) {
-	if f.pf == nil || len(rows) == 0 {
+func (f *File) Prefetch(lo, hi int, want func(row int) bool) {
+	if f.pf == nil {
 		return
 	}
 	ps := int64(f.hdr.pageSize)
 	rowBytes := int64(f.hdr.rowBytes())
 	cur := pageRange{p0: -1}
-	for _, row := range rows {
-		if row < 0 || int(row) >= f.hdr.n {
+	for i := max(lo, 0); i < min(hi, f.hdr.n); i++ {
+		if !want(i) {
 			continue
 		}
-		off := int64(row) * rowBytes
+		off := int64(i) * rowBytes
 		p0 := off / ps
 		p1 := (off + rowBytes - 1) / ps
 		if cur.p0 >= 0 && p0 <= cur.p1+1 {
@@ -438,8 +440,9 @@ func (f *File) Prefetch(rows []int32) {
 		}
 		cur = pageRange{p0: p0, p1: p1}
 	}
-	if cur.p0 >= 0 {
-		f.pf.submit(cur)
+	if cur.p0 < 0 {
+		return
 	}
+	f.pf.submit(cur)
 	runtime.Gosched()
 }

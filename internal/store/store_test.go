@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -346,6 +347,66 @@ func TestSingleflightNoDuplicateReads(t *testing.T) {
 	}
 }
 
+// allRows is a Prefetch predicate that picks every row.
+func allRows(int) bool { return true }
+
+// TestPrefetchMergesPages: Prefetch submits, in order, the maximal runs
+// of consecutive pages that the rows want picks touch, and offers want
+// only the rows of its range inside the file. The 192-byte rows make
+// some rows straddle a page end; the ranges run past both ends of the
+// file, and some picks skip pages or are empty.
+func TestPrefetchMergesPages(t *testing.T) {
+	m := testMatrix(700, 24, 3)
+	f, err := Open(writeTemp(t, m, 8), Options{CacheBytes: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// A pool without workers: submitted ranges stay on its queue.
+	f.pf = &prefetcher{ch: make(chan pageRange, m.Rows())}
+	defer func() { f.pf = nil }()
+	n, rowBytes, ps := m.Rows(), f.RowBytes(), f.PageSize()
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		lo := rng.Intn(n+20) - 10
+		hi := lo + rng.Intn(n+20)
+		density := rng.Float64()
+		pick := make([]bool, n)
+		touched := make([]bool, (n*rowBytes+ps-1)/ps)
+		for i := max(lo, 0); i < min(hi, n); i++ {
+			if pick[i] = rng.Float64() < density; pick[i] {
+				for p := i * rowBytes / ps; p <= ((i+1)*rowBytes-1)/ps; p++ {
+					touched[p] = true
+				}
+			}
+		}
+		var want []pageRange
+		for p, in := range touched {
+			if !in {
+				continue
+			}
+			if k := len(want); k > 0 && want[k-1].p1 == int64(p-1) {
+				want[k-1].p1 = int64(p)
+			} else {
+				want = append(want, pageRange{int64(p), int64(p)})
+			}
+		}
+		f.Prefetch(lo, hi, func(i int) bool {
+			if i < max(lo, 0) || i >= min(hi, n) {
+				t.Fatalf("[%d, %d): want asked about row %d", lo, hi, i)
+			}
+			return pick[i]
+		})
+		var got []pageRange
+		for len(f.pf.ch) > 0 {
+			got = append(got, <-f.pf.ch)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("[%d, %d) at density %.2f: submitted %v, want %v", lo, hi, density, got, want)
+		}
+	}
+}
+
 func TestPrefetchWarmsCacheWithoutRequested(t *testing.T) {
 	m := testMatrix(512, 64, 9)
 	path := writeTemp(t, m, 8)
@@ -354,11 +415,7 @@ func TestPrefetchWarmsCacheWithoutRequested(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rows := make([]int32, m.Rows())
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	f.Prefetch(rows)
+	f.Prefetch(0, m.Rows(), allRows)
 	// Demand reads join or follow the prefetch; singleflight guarantees
 	// the payload is read at most once regardless of the race.
 	r := f.Reader()
