@@ -57,8 +57,9 @@ test-noasm:
 # flush at both precisions against Dgemm + scan, the store's
 # recycled page buffers against the source rows, the knors row cache
 # against a map per partition, the streamed state file against
-# json.Marshal, and the state file's float arrays against
-# encoding/json's []float64. Minimizing a new input may take
+# json.Marshal, the state file's float arrays against
+# encoding/json's []float64, and the /metrics and /metrics/cluster
+# writers against a strict text-format checker. Minimizing a new input may take
 # 60 s by default, which stalls a 10 s run on a large seed (the d32
 # assign body), so each minimization gets 100 executions; a failing
 # input is still reported, only less minimized.
@@ -76,6 +77,7 @@ fuzz-smoke:
 	$(GO) test $(FUZZ) -fuzz '^FuzzRowCache$$' ./internal/sem
 	$(GO) test $(FUZZ) -fuzz '^FuzzStateWriter$$' ./internal/serve
 	$(GO) test $(FUZZ) -fuzz '^FuzzLoadState$$' ./internal/serve
+	$(GO) test $(FUZZ) -fuzz '^FuzzExposition$$' ./internal/telemetry
 
 # Full figure sweeps (smaller -quick variants; drop -quick for the
 # complete scale-reduced reproduction).

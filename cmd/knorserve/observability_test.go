@@ -11,80 +11,188 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
+	"knor/internal/matrix"
 	"knor/internal/telemetry"
 )
 
 const createBody = `{"name":"obs","k":2,"rows":[[0,0],[0,1],[9,0],[9,1]]}`
 
-// TestMetricsExposition drives traffic through /assign and asserts the
-// exposition is valid Prometheus text spanning every instrumented
-// layer, with at least 25 distinct series families.
+// TestMetricsExposition drives traffic through /assign, on a single
+// node and on a 2-machine sharded server, and asserts the exposition
+// spans every instrumented layer with at least 25 distinct series
+// families, that every sample line of /metrics and /metrics/cluster is
+// a series and a value (a label set, when present, is the last token
+// before the value), and that a model name holding a tab and a control
+// byte is written raw in its label value.
 func TestMetricsExposition(t *testing.T) {
-	_, ts := newTestServer(t, serverOptions{})
-	if code, body := postJSON(t, ts.URL+"/v1/models", createBody); code != http.StatusCreated {
-		t.Fatalf("create: %d %v", code, body)
-	}
-	for i := 0; i < 3; i++ {
-		if code, _ := postJSON(t, ts.URL+"/v1/assign", `{"model":"obs","rows":[[1,1],[8,1]]}`); code != http.StatusOK {
-			t.Fatalf("assign: %d", code)
-		}
-	}
+	for _, opts := range []serverOptions{{}, {machines: 2}} {
+		t.Run(fmt.Sprintf("machines=%d", max(opts.machines, 1)), func(t *testing.T) {
+			_, ts := newTestServer(t, opts)
+			for _, model := range []string{"obs", "obs\t\x01"} {
+				name, _ := json.Marshal(model)
+				create := fmt.Sprintf(`{"name":%s,"k":2,"rows":[[0,0],[0,1],[9,0],[9,1]]}`, name)
+				if code, body := postJSON(t, ts.URL+"/v1/models", create); code != http.StatusCreated {
+					t.Fatalf("create %q: %d %v", model, code, body)
+				}
+				for i := 0; i < 3; i++ {
+					assign := fmt.Sprintf(`{"model":%s,"rows":[[1,1],[8,1]]}`, name)
+					if code, _ := postJSON(t, ts.URL+"/v1/assign", assign); code != http.StatusOK {
+						t.Fatalf("assign %q: %d", model, code)
+					}
+				}
+			}
+			edge := "knor_serve"
+			if opts.machines > 1 {
+				edge = "knor_shardserve"
+			}
+			text := getMetrics(t, ts.URL+"/metrics")
+			cluster := getMetrics(t, ts.URL+"/metrics/cluster")
+			for page, text := range map[string]string{"/metrics": text, "/metrics/cluster": cluster} {
+				for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+					if line == "" || line[0] == '#' {
+						continue
+					}
+					cut := strings.LastIndexByte(line, ' ')
+					if cut < 0 {
+						t.Fatalf("%s: sample line without a value: %q", page, line)
+					}
+					if series := line[:cut]; strings.Contains(series, "{") && !strings.HasSuffix(series, "}") {
+						t.Errorf("%s: label set is not the last token before the value: %q", page, line)
+					}
+					if _, err := strconv.ParseFloat(line[cut+1:], 64); err != nil {
+						t.Errorf("%s: value of %q: %v", page, line, err)
+					}
+				}
+			}
 
-	resp, err := http.Get(ts.URL + "/metrics")
+			families := map[string]string{}
+			for _, line := range strings.Split(text, "\n") {
+				if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+					parts := strings.Fields(f)
+					if len(parts) != 2 {
+						t.Fatalf("malformed TYPE line: %q", line)
+					}
+					families[parts[0]] = parts[1]
+				}
+			}
+			if len(families) < 25 {
+				t.Fatalf("only %d series families on /metrics, want >= 25:\n%v", len(families), families)
+			}
+			// One representative series per layer must be present.
+			for _, name := range []string{
+				"knor_serve_requests_total",      // serve batcher edge
+				"knor_serve_gemm_seconds",        // serve flush path
+				"knor_shardserve_requests_total", // fan-out edge
+				"knor_store_page_hits_total",     // I/O stack
+				"knor_sem_iterations_total",      // SEM engine
+				"knor_registry_publishes_total",  // registry
+				"knor_http_requests_total",       // HTTP middleware
+			} {
+				if _, ok := families[name]; !ok {
+					t.Errorf("family %s missing from /metrics", name)
+				}
+			}
+			// The served traffic must be visible: requests counted, latency
+			// histogram populated with cumulative buckets, and on the
+			// sharded server each shard's latency with its sum and count.
+			for _, want := range []string{
+				edge + "_request_seconds_bucket{le=\"+Inf\"}",
+				`knor_http_requests_total{path="/v1/assign",code="200"}`,
+				edge + "_inflight_requests{model=\"obs\t\x01\"} 0",
+			} {
+				if !strings.Contains(text, want) {
+					t.Errorf("/metrics lacks %q", want)
+				}
+			}
+			if want := edge + "_inflight_requests{rank=\"0\",model=\"obs\t\x01\"} 0"; !strings.Contains(cluster, want) {
+				t.Errorf("/metrics/cluster lacks %q", want)
+			}
+			if opts.machines > 1 {
+				for _, want := range []string{`knor_shardserve_shard_seconds_sum{shard="0"} `, `knor_shardserve_shard_seconds_count{shard="1"} `} {
+					if !strings.Contains(text, want) {
+						t.Errorf("/metrics lacks %q", want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestUnknownModelAddsNoSeries: an assign to a model that does not
+// exist answers 400 with the unknown-model error and leaves no series
+// on /metrics or /metrics/cluster, even for more names than a family
+// holds label sets, so no series is dropped into _overflow.
+func TestUnknownModelAddsNoSeries(t *testing.T) {
+	for _, opts := range []serverOptions{{}, {machines: 2}} {
+		t.Run(fmt.Sprintf("machines=%d", max(opts.machines, 1)), func(t *testing.T) {
+			s, ts := newTestServer(t, opts)
+			before := droppedLabels(t, ts.URL)
+			pkg := "serve"
+			if opts.machines > 1 {
+				pkg = "shardserve"
+			}
+			code, body := postJSON(t, ts.URL+"/v1/assign", `{"model":"ghost\tq","rows":[[1,2]]}`)
+			if want := fmt.Sprintf("%s: unknown model %q", pkg, "ghost\tq"); code != http.StatusBadRequest || body["error"] != want {
+				t.Errorf("assign to an unknown model: %d %v, want 400 %q", code, body, want)
+			}
+			rows := matrix.NewDense(1, 2)
+			for i := 0; i <= telemetry.DefaultMaxLabelSets; i++ {
+				if _, err := s.batcher.AssignRows(fmt.Sprintf("ghost-%d", i), rows); err == nil {
+					t.Fatalf("model ghost-%d accepted", i)
+				}
+			}
+			for _, page := range []string{"/metrics", "/metrics/cluster"} {
+				if text := getMetrics(t, ts.URL+page); strings.Contains(text, "ghost") {
+					t.Errorf("%s holds a series of an unknown model", page)
+				}
+			}
+			if got := droppedLabels(t, ts.URL) - before; got != 0 {
+				t.Errorf("knor_telemetry_dropped_labels_total rose by %v", got)
+			}
+		})
+	}
+}
+
+// getMetrics fetches a metrics page.
+func getMetrics(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %d", resp.StatusCode)
+		t.Fatalf("GET %s: %d", url, resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
-		t.Fatalf("metrics content type: %q", ct)
+		t.Fatalf("GET %s: content type %q", url, ct)
 	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := string(raw)
+	return string(raw)
+}
 
-	families := map[string]string{}
-	for _, line := range strings.Split(text, "\n") {
-		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			parts := strings.Fields(f)
-			if len(parts) != 2 {
-				t.Fatalf("malformed TYPE line: %q", line)
+// droppedLabels reads knor_telemetry_dropped_labels_total off /metrics
+// (0 while no label set has been dropped and the counter is not yet
+// registered).
+func droppedLabels(t *testing.T, base string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(getMetrics(t, base+"/metrics"), "\n") {
+		if v, ok := strings.CutPrefix(line, "knor_telemetry_dropped_labels_total "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("dropped labels: %v", err)
 			}
-			families[parts[0]] = parts[1]
+			return n
 		}
 	}
-	if len(families) < 25 {
-		t.Fatalf("only %d series families on /metrics, want >= 25:\n%v", len(families), families)
-	}
-	// One representative series per layer must be present.
-	for _, name := range []string{
-		"knor_serve_requests_total",      // serve batcher edge
-		"knor_serve_gemm_seconds",        // serve flush path
-		"knor_shardserve_requests_total", // fan-out edge
-		"knor_store_page_hits_total",     // I/O stack
-		"knor_sem_iterations_total",      // SEM engine
-		"knor_registry_publishes_total",  // registry
-		"knor_http_requests_total",       // HTTP middleware
-	} {
-		if _, ok := families[name]; !ok {
-			t.Errorf("family %s missing from /metrics", name)
-		}
-	}
-	// The served traffic must be visible: requests counted, latency
-	// histogram populated with cumulative buckets.
-	if !strings.Contains(text, "knor_serve_request_seconds_bucket{le=\"+Inf\"}") {
-		t.Error("request latency histogram has no +Inf bucket")
-	}
-	if !strings.Contains(text, `knor_http_requests_total{path="/v1/assign",code="200"}`) {
-		t.Error("HTTP middleware did not count /v1/assign 200s")
-	}
+	return 0
 }
 
 // TestReadyzLifecycle pins the liveness/readiness split: /healthz is

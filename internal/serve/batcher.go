@@ -154,8 +154,12 @@ func (b *BatcherOf[T]) Assign(model string, row []T) (Assignment, error) {
 // rows matrix must not be mutated until the call returns. When the
 // model already has ModelQuota requests in flight the call fails fast
 // with an error wrapping ErrOverloaded — backpressure instead of an
-// unbounded queue.
+// unbounded queue. An unknown model fails before the edge admits it,
+// so a client's guesses at names add no series to the registry.
 func (b *BatcherOf[T]) AssignBatch(model string, rows *matrix.Mat[T]) ([]Assignment, error) {
+	if !b.reg.known(model) {
+		return nil, errUnknownModel(model)
+	}
 	return b.edge.Assign(model, rows.Rows(), func(tr *telemetry.Trace) ([]Assignment, time.Time, error) {
 		return b.AssignRaw(model, rows, tr)
 	})
@@ -198,6 +202,8 @@ func (b *BatcherOf[T]) AssignRows(model string, rows *matrix.Dense) ([]Assignmen
 	}
 	return b.AssignBatch(model, matrix.Convert[T](rows))
 }
+
+func errUnknownModel(model string) error { return fmt.Errorf("serve: unknown model %q", model) }
 
 // signal performs a non-blocking send on a 1-buffered channel.
 func signal(c chan struct{}) {
@@ -285,7 +291,7 @@ func (b *BatcherOf[T]) flush(batch []pendingReq[T]) {
 		snap, ok := b.reg.Get(model)
 		if !ok {
 			for _, i := range idxs {
-				batch[i].out <- batchAnswer{err: fmt.Errorf("serve: unknown model %q", model)}
+				batch[i].out <- batchAnswer{err: errUnknownModel(model)}
 			}
 			continue
 		}

@@ -100,6 +100,10 @@ type Registry struct {
 	retention Retention
 	nextNode  int
 	onPublish []func(*Model)
+
+	// names holds every name in latest, for known: a read no publish
+	// in progress holds up.
+	names sync.Map
 }
 
 // NewRegistry builds a registry that pins model shards round-robin
@@ -164,6 +168,7 @@ func (r *Registry) add(m *Model, version, node int) (*Model, error) {
 		r.nextNode++
 	}
 	r.latest[m.Name] = m
+	r.names.Store(m.Name, struct{}{})
 	r.versions[m.Name] = append(r.versions[m.Name], m)
 	r.evictLocked(m.Name, m.PublishedAt)
 	telPublishes.Inc()
@@ -320,6 +325,14 @@ func (r *Registry) Get(name string) (*Model, bool) {
 	return m, ok
 }
 
+// known reports whether the named model has a published version
+// without taking the registry lock, so the serving edge turns an
+// unknown model away even while a publish holds it.
+func (r *Registry) known(name string) bool {
+	_, ok := r.names.Load(name)
+	return ok
+}
+
 // GetVersion returns a specific published version (1-based). Only
 // retained snapshots are addressable; evicted ones report not found.
 func (r *Registry) GetVersion(name string, version int) (*Model, bool) {
@@ -364,6 +377,7 @@ func (r *Registry) Drop(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.latest, name)
+	r.names.Delete(name)
 	delete(r.versions, name)
 	delete(r.pins, name)
 }

@@ -101,8 +101,13 @@ type shardAnswer struct {
 
 // AssignBatch answers every row of rows against the named model by
 // fanning the batch out to the model's shards. The rows matrix must
-// not be mutated until the call returns.
+// not be mutated until the call returns. A model with no shard plan
+// fails before the edge admits it, so a client's guesses at names add
+// no series to the registry.
 func (a *AssignerOf[T]) AssignBatch(model string, rows *matrix.Mat[T]) ([]serve.Assignment, error) {
+	if _, ok := a.sr.GetPlan(model); !ok {
+		return nil, errUnknownModel(model)
+	}
 	return a.edge.Assign(model, rows.Rows(), func(tr *telemetry.Trace) ([]serve.Assignment, time.Time, error) {
 		for try := 0; try < skewRetries; try++ {
 			if try > 0 {
@@ -128,7 +133,7 @@ func (a *AssignerOf[T]) AssignBatch(model string, rows *matrix.Mat[T]) ([]serve.
 func (a *AssignerOf[T]) fanout(model string, rows *matrix.Mat[T], tr *telemetry.Trace) (out []serve.Assignment, retry bool, err error) {
 	plan, ok := a.sr.GetPlan(model)
 	if !ok {
-		return nil, false, fmt.Errorf("shardserve: unknown model %q", model)
+		return nil, false, errUnknownModel(model)
 	}
 	shards := len(plan.Offsets) - 1
 	n := rows.Rows()
@@ -205,6 +210,8 @@ func (a *AssignerOf[T]) fanout(model string, rows *matrix.Mat[T], tr *telemetry.
 	}
 	return out, false, nil
 }
+
+func errUnknownModel(model string) error { return fmt.Errorf("shardserve: unknown model %q", model) }
 
 // answerShard answers shard group s by walking its replica list:
 // machines with the kill switch down are skipped (and tried once more

@@ -5,7 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -249,110 +249,95 @@ func (v *HistogramVec) With(vals ...string) *Histogram {
 // text exposition format (version 0.0.4), sorted by family name and
 // label tuple so output is deterministic for golden tests.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.insts))
-	for n := range r.insts {
-		names = append(names, n)
-	}
-	insts := make(map[string]*instrument, len(r.insts))
-	for n, in := range r.insts {
-		insts[n] = in
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-
 	var b strings.Builder
-	for _, n := range names {
-		writeFamily(&b, insts[n])
+	for _, f := range r.Snapshot() {
+		formatFamily(&b, f, nil)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-func writeFamily(b *strings.Builder, in *instrument) {
-	if in.help != "" {
-		fmt.Fprintf(b, "# HELP %s %s\n", in.name, escapeHelp(in.help))
+// formatFamily is the one text-format writer behind /metrics and
+// /metrics/cluster: a family's HELP and TYPE lines, then a line per
+// counter or gauge sample, or a histogram sample's cumulative buckets,
+// sum and count. When ranks is not nil, sample i's label set leads
+// with rank="ranks[i]".
+func formatFamily(b *strings.Builder, f SnapshotFamily, ranks []int) {
+	if f.Help != "" {
+		fmt.Fprintf(b, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
 	}
-	fmt.Fprintf(b, "# TYPE %s %s\n", in.name, in.kind)
-	if len(in.labels) == 0 {
-		in.mu.Lock()
-		counter, gauge, gfn, hist := in.counter, in.gauge, in.gfn, in.hist
-		in.mu.Unlock()
-		switch {
-		case counter != nil:
-			fmt.Fprintf(b, "%s %s\n", in.name, fmtVal(float64(counter.Load())))
-		case gfn != nil:
-			fmt.Fprintf(b, "%s %s\n", in.name, fmtVal(gfn()))
-		case gauge != nil:
-			fmt.Fprintf(b, "%s %s\n", in.name, fmtVal(gauge.Load()))
-		case hist != nil:
-			writeHist(b, in.name, "", hist)
+	fmt.Fprintf(b, "# TYPE %s %s\n", f.Name, f.Kind)
+	var labels []byte
+	for i, s := range f.Samples {
+		labels = labels[:0]
+		if ranks != nil {
+			labels = appendLabel(labels, "rank", strconv.Itoa(ranks[i]))
 		}
-		return
-	}
-	in.mu.Lock()
-	keys := make([]string, 0, len(in.children))
-	for k := range in.children {
-		keys = append(keys, k)
-	}
-	children := make(map[string]*child, len(in.children))
-	for k, c := range in.children {
-		children[k] = c
-	}
-	in.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		c := children[k]
-		lbl := labelString(in.labels, c.labelVals)
-		switch {
-		case c.counter != nil:
-			fmt.Fprintf(b, "%s{%s} %s\n", in.name, lbl, fmtVal(float64(c.counter.Load())))
-		case c.gauge != nil:
-			fmt.Fprintf(b, "%s{%s} %s\n", in.name, lbl, fmtVal(c.gauge.Load()))
-		case c.hist != nil:
-			writeHist(b, in.name, lbl, c.hist)
+		for j, name := range f.LabelNames {
+			v := ""
+			if j < len(s.Labels) {
+				v = s.Labels[j]
+			}
+			labels = appendLabel(labels, name, v)
 		}
+		if f.Kind != "histogram" || len(s.Buckets) == 0 {
+			writeSample(b, f.Name, "", labels, fmtVal(s.Value))
+			continue
+		}
+		n := len(labels)
+		var cum uint64
+		for j, bound := range s.Bounds {
+			if j < len(s.Buckets) {
+				cum += s.Buckets[j]
+			}
+			labels = appendLabel(labels[:n], "le", fmtVal(bound))
+			writeSample(b, f.Name, "_bucket", labels, strconv.FormatUint(cum, 10))
+		}
+		cum += s.Buckets[len(s.Buckets)-1]
+		labels = appendLabel(labels[:n], "le", "+Inf")
+		writeSample(b, f.Name, "_bucket", labels, strconv.FormatUint(cum, 10))
+		writeSample(b, f.Name, "_sum", labels[:n], fmtVal(s.Sum))
+		writeSample(b, f.Name, "_count", labels[:n], strconv.FormatUint(cum, 10))
 	}
 }
 
-func writeHist(b *strings.Builder, name, labels string, h *Histogram) {
-	counts := h.BucketCounts()
-	var cum uint64
-	for i, bound := range h.Bounds() {
-		cum += counts[i]
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, bucketPrefix(labels), fmtVal(bound), cum)
+// writeSample writes one sample line: the series name, its label set
+// in braces unless it is empty, and the value.
+func writeSample(b *strings.Builder, name, suffix string, labels []byte, value string) {
+	b.WriteString(name)
+	b.WriteString(suffix)
+	if len(labels) > 0 {
+		b.WriteByte('{')
+		b.Write(labels)
+		b.WriteByte('}')
 	}
-	cum += counts[len(counts)-1]
-	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, bucketPrefix(labels), cum)
-	fmt.Fprintf(b, "%s_sum %s\n", name+braced(labels), fmtVal(h.Sum()))
-	fmt.Fprintf(b, "%s_count %d\n", name+braced(labels), cum)
+	b.WriteByte(' ')
+	b.WriteString(value)
+	b.WriteByte('\n')
 }
 
-func bucketPrefix(labels string) string {
-	if labels == "" {
-		return ""
+// appendLabel appends name="value" to a comma-separated label set,
+// with the value escaped as the text format defines.
+func appendLabel(set []byte, name, value string) []byte {
+	if len(set) > 0 {
+		set = append(set, ',')
 	}
-	return labels + ","
+	set = append(set, name...)
+	set = append(set, '=', '"')
+	set = append(set, labelEscaper.Replace(strings.ToValidUTF8(value, "\uFFFD"))...)
+	return append(set, '"')
 }
 
-func braced(labels string) string {
-	if labels == "" {
-		return ""
-	}
-	return "{" + labels + "}"
-}
-
-func labelString(names, vals []string) string {
-	parts := make([]string, len(names))
-	for i := range names {
-		parts[i] = fmt.Sprintf("%s=%q", names[i], vals[i])
-	}
-	return strings.Join(parts, ",")
-}
+// The text format's only escapes: a backslash or newline, and in a
+// label value a double quote, takes a backslash. Every other byte is
+// written as it is, once invalid UTF-8 has become U+FFFD.
+var (
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+	labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+)
 
 func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
+	return helpEscaper.Replace(strings.ToValidUTF8(s, "\uFFFD"))
 }
 
 // fmtVal renders a float the way Prometheus clients do: integral values
@@ -366,9 +351,9 @@ func fmtVal(v float64) string {
 	case math.IsInf(v, -1):
 		return "-Inf"
 	case v == math.Trunc(v) && math.Abs(v) < 1e15:
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.FormatInt(int64(v), 10)
 	default:
-		return fmt.Sprintf("%g", v)
+		return strconv.FormatFloat(v, 'g', -1, 64)
 	}
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -79,7 +80,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 }
 
 // TestRegistryConcurrent hammers registration and observation from many
-// goroutines; run under -race it proves the lock discipline.
+// goroutines, scraping while new label tuples appear; run under -race
+// it proves the lock discipline.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	const (
@@ -96,7 +98,8 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Gauge("conc_gauge", "").Add(1)
 				r.Histogram("conc_seconds", "", DefLatencyBuckets()).Observe(float64(i) * 1e-4)
 				r.CounterVec("conc_by_w_total", "", "w").With(string(rune('a' + w%4))).Inc()
-				if i%100 == 0 {
+				r.GaugeVec("conc_new", "", "i").With(strconv.Itoa(w*iters + i)).Set(1)
+				if i%20 == 0 {
 					var b strings.Builder
 					_ = r.WritePrometheus(&b)
 				}

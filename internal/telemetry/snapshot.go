@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -76,24 +75,20 @@ func (s SnapshotSample) Quantile(q float64) float64 {
 }
 
 // Snapshot freezes every registered instrument into plain data, sorted
-// by family name and label tuple (the same deterministic order as
-// WritePrometheus), suitable for serialization across processes.
+// by family name and label tuple (the order WritePrometheus renders),
+// suitable for serialization across processes.
 func (r *Registry) Snapshot() []SnapshotFamily {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.insts))
-	for n := range r.insts {
-		names = append(names, n)
-	}
-	insts := make(map[string]*instrument, len(r.insts))
-	for n, in := range r.insts {
-		insts[n] = in
+	insts := make([]*instrument, 0, len(r.insts))
+	for _, in := range r.insts {
+		insts = append(insts, in)
 	}
 	r.mu.Unlock()
-	sort.Strings(names)
+	sort.Slice(insts, func(i, j int) bool { return insts[i].name < insts[j].name })
 
-	out := make([]SnapshotFamily, 0, len(names))
-	for _, n := range names {
-		out = append(out, snapshotFamily(insts[n]))
+	out := make([]SnapshotFamily, len(insts))
+	for i, in := range insts {
+		out[i] = snapshotFamily(in)
 	}
 	return out
 }
@@ -121,19 +116,21 @@ func snapshotFamily(in *instrument) SnapshotFamily {
 		}
 		return f
 	}
-	in.mu.Lock()
-	keys := make([]string, 0, len(in.children))
-	for k := range in.children {
-		keys = append(keys, k)
+	// Copy each child under the lock: With sets a new child's
+	// instrument after creating it.
+	type keyed struct {
+		key string
+		c   child
 	}
-	children := make(map[string]*child, len(in.children))
+	in.mu.Lock()
+	children := make([]keyed, 0, len(in.children))
 	for k, c := range in.children {
-		children[k] = c
+		children = append(children, keyed{k, *c})
 	}
 	in.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		c := children[k]
+	sort.Slice(children, func(i, j int) bool { return children[i].key < children[j].key })
+	for _, kc := range children {
+		c := kc.c
 		vals := append([]string(nil), c.labelVals...)
 		switch {
 		case c.counter != nil:
@@ -179,95 +176,53 @@ type RankSnapshot struct {
 // name, samples by rank then label tuple.
 func WriteFederatedPrometheus(w io.Writer, snaps []RankSnapshot) error {
 	type fam struct {
-		help, kind string
-		labelNames []string
-		// one entry per (rank, sample), in rank order per family
-		ranks   []int
-		samples []SnapshotSample
+		SnapshotFamily
+		ranks []int // the rank of each of Samples, in rank order
 	}
 	fams := map[string]*fam{}
-	names := []string{}
 	ordered := append([]RankSnapshot(nil), snaps...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Rank < ordered[j].Rank })
 	for _, rs := range ordered {
 		for _, sf := range rs.Families {
 			f, ok := fams[sf.Name]
 			if !ok {
-				f = &fam{help: sf.Help, kind: sf.Kind, labelNames: sf.LabelNames}
+				f = &fam{SnapshotFamily: SnapshotFamily{Name: sf.Name, Help: sf.Help, Kind: sf.Kind, LabelNames: sf.LabelNames}}
 				fams[sf.Name] = f
-				names = append(names, sf.Name)
 			}
-			if f.kind != sf.Kind {
+			if f.Kind != sf.Kind {
 				// A kind clash across ranks (mixed binary versions) would
 				// corrupt exposition; keep the first kind and drop the rest.
 				continue
 			}
 			for _, s := range sf.Samples {
 				f.ranks = append(f.ranks, rs.Rank)
-				f.samples = append(f.samples, s)
+				f.Samples = append(f.Samples, s)
 			}
 		}
 	}
 	// Synthetic staleness gauge so dead workers are visible in the scrape
 	// itself.
-	staleName := "knor_federation_stale"
-	sf := &fam{help: "1 when this rank's metrics could not be pulled (dead or timed-out worker).", kind: "gauge"}
+	stale := &fam{SnapshotFamily: SnapshotFamily{Name: "knor_federation_stale",
+		Help: "1 when this rank's metrics could not be pulled (dead or timed-out worker).", Kind: "gauge"}}
 	for _, rs := range ordered {
 		v := 0.0
 		if rs.Stale {
 			v = 1
 		}
-		sf.ranks = append(sf.ranks, rs.Rank)
-		sf.samples = append(sf.samples, SnapshotSample{Value: v})
+		stale.ranks = append(stale.ranks, rs.Rank)
+		stale.Samples = append(stale.Samples, SnapshotSample{Value: v})
 	}
-	fams[staleName] = sf
-	names = append(names, staleName)
+	fams[stale.Name] = stale
+	names := make([]string, 0, len(fams))
+	for n := range fams {
+		names = append(names, n)
+	}
 	sort.Strings(names)
 
 	var b strings.Builder
 	for _, n := range names {
-		f := fams[n]
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", n, escapeHelp(f.help))
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", n, f.kind)
-		for i, s := range f.samples {
-			lbl := federatedLabels(f.ranks[i], f.labelNames, s.Labels)
-			if f.kind == "histogram" && len(s.Buckets) > 0 {
-				writeSnapshotHist(&b, n, lbl, s)
-				continue
-			}
-			fmt.Fprintf(&b, "%s{%s} %s\n", n, lbl, fmtVal(s.Value))
-		}
+		formatFamily(&b, fams[n].SnapshotFamily, fams[n].ranks)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-func federatedLabels(rank int, names, vals []string) string {
-	parts := []string{fmt.Sprintf("rank=%q", fmt.Sprint(rank))}
-	for i := range names {
-		v := ""
-		if i < len(vals) {
-			v = vals[i]
-		}
-		parts = append(parts, fmt.Sprintf("%s=%q", names[i], v))
-	}
-	return strings.Join(parts, ",")
-}
-
-func writeSnapshotHist(b *strings.Builder, name, labels string, s SnapshotSample) {
-	var cum uint64
-	for i, bound := range s.Bounds {
-		if i < len(s.Buckets) {
-			cum += s.Buckets[i]
-		}
-		fmt.Fprintf(b, "%s_bucket{%s,le=%q} %d\n", name, labels, fmtVal(bound), cum)
-	}
-	if len(s.Buckets) > 0 {
-		cum += s.Buckets[len(s.Buckets)-1]
-	}
-	fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, cum)
-	fmt.Fprintf(b, "%s_sum{%s} %s\n", name, labels, fmtVal(s.Sum))
-	fmt.Fprintf(b, "%s_count{%s} %d\n", name, labels, cum)
 }
