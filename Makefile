@@ -59,10 +59,10 @@ test-noasm:
 # against a map per partition, the streamed state file against
 # json.Marshal, the state file's float arrays against
 # encoding/json's []float64, and the /metrics and /metrics/cluster
-# writers against a strict text-format checker. Minimizing a new input may take
-# 60 s by default, which stalls a 10 s run on a large seed (the d32
-# assign body), so each minimization gets 100 executions; a failing
-# input is still reported, only less minimized.
+# writer against a strict text-format checker. Minimizing a new input
+# may take 60 s by default, which stalls a 10 s run on a large seed
+# (the d32 assign body), so each minimization gets 100 executions; a
+# failing input is still reported, only less minimized.
 FUZZ = -run '^$$' -fuzztime 10s -fuzzminimizetime 100x
 fuzz-smoke:
 	$(GO) test $(FUZZ) -fuzz '^FuzzAssignBody$$' ./cmd/knorserve

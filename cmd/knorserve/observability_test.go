@@ -123,9 +123,10 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestUnknownModelAddsNoSeries: an assign to a model that does not
-// exist answers 400 with the unknown-model error and leaves no series
-// on /metrics or /metrics/cluster, even for more names than a family
-// holds label sets, so no series is dropped into _overflow.
+// exist, with rows or without, answers 400 with the unknown-model
+// error and leaves no series on /metrics or /metrics/cluster, even for
+// more names than a family holds label sets, so no series is dropped
+// into _overflow.
 func TestUnknownModelAddsNoSeries(t *testing.T) {
 	for _, opts := range []serverOptions{{}, {machines: 2}} {
 		t.Run(fmt.Sprintf("machines=%d", max(opts.machines, 1)), func(t *testing.T) {
@@ -135,9 +136,11 @@ func TestUnknownModelAddsNoSeries(t *testing.T) {
 			if opts.machines > 1 {
 				pkg = "shardserve"
 			}
-			code, body := postJSON(t, ts.URL+"/v1/assign", `{"model":"ghost\tq","rows":[[1,2]]}`)
-			if want := fmt.Sprintf("%s: unknown model %q", pkg, "ghost\tq"); code != http.StatusBadRequest || body["error"] != want {
-				t.Errorf("assign to an unknown model: %d %v, want 400 %q", code, body, want)
+			for _, rows := range []string{"[[1,2]]", "[]"} {
+				code, body := postJSON(t, ts.URL+"/v1/assign", `{"model":"ghost\tq","rows":`+rows+`}`)
+				if want := fmt.Sprintf("%s: unknown model %q", pkg, "ghost\tq"); code != http.StatusBadRequest || body["error"] != want {
+					t.Errorf("assign of %s to an unknown model: %d %v, want 400 %q", rows, code, body, want)
+				}
 			}
 			rows := matrix.NewDense(1, 2)
 			for i := 0; i <= telemetry.DefaultMaxLabelSets; i++ {

@@ -111,8 +111,11 @@ func TestRegistryHistoryBounded(t *testing.T) {
 func TestRegistryDrop(t *testing.T) {
 	r := NewRegistry(2)
 	snap := mustPublish(t, r, "m", [][]float64{{1, 2}})
+	if !r.known("m") {
+		t.Fatal("published model not known")
+	}
 	r.Drop("m")
-	if _, ok := r.Get("m"); ok {
+	if _, ok := r.Get("m"); ok || r.known("m") {
 		t.Fatal("model survived Drop")
 	}
 	if len(r.List()) != 0 {
